@@ -66,12 +66,16 @@ bench-sweep:
 # benchmarks run one iteration per count (each is ~100ms of real DSE
 # work); the microsecond-scale selection kernels need a large fixed
 # iteration count on top to be measurable at all.
+# BENCH_SNAPSHOT names the output file and has no default, so a run never
+# overwrites a committed baseline by accident:
+#   make bench-snapshot BENCH_SNAPSHOT=BENCH_PR12.json BENCH_BASELINE=BENCH_PR10.json
 BENCH_KERNELS := NonDominatedSort|UpdateArchive|Crowding
 BENCH_SUITE_CMD = $(GO) test -run '^$$' -bench 'Sweep|Fig|Table' -benchmem -benchtime 1x -count 3 .
 BENCH_KERNEL_CMD = $(GO) test -run '^$$' -bench '$(BENCH_KERNELS)' -benchmem -benchtime 200x -count 3 ./internal/moea
-BENCH_SNAPSHOT ?= BENCH_PR9.json
+BENCH_SNAPSHOT ?=
 BENCH_BASELINE ?=
 bench-snapshot:
+	@test -n "$(BENCH_SNAPSHOT)" || { echo "bench-snapshot: set BENCH_SNAPSHOT=BENCH_PR<n>.json (the file to write)" >&2; exit 2; }
 	{ $(BENCH_SUITE_CMD) && $(BENCH_KERNEL_CMD); } | \
 		$(GO) run ./cmd/benchsnap -o $(BENCH_SNAPSHOT) $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE))
 

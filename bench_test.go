@@ -228,38 +228,6 @@ func BenchmarkEvaluateMappingSynthetic(b *testing.B) {
 	benchmarkEvaluateMapping(b, benchSyntheticInstance(20))
 }
 
-// BenchmarkFitnessCacheCold runs fcCLR on a fresh instance every iteration,
-// so every fitness evaluation misses the genome-level cache.
-func BenchmarkFitnessCacheCold(b *testing.B) {
-	cfg := core.RunConfig{Pop: 24, Gens: 10, Seed: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.FcCLR(benchSobelInstance(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFitnessCacheWarm repeats the identical run on one instance: after
-// the first (untimed) pass, every evaluation is served from the fitness
-// cache, bounding the memoization upside.
-func BenchmarkFitnessCacheWarm(b *testing.B) {
-	inst := benchSobelInstance()
-	cfg := core.RunConfig{Pop: 24, Gens: 10, Seed: 1}
-	if _, err := core.FcCLR(inst, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.FcCLR(inst, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(inst.FitnessCacheStats().HitRate()*100, "fitness-hit-%")
-}
-
 // ---- substrate micro-benchmarks ----
 
 func BenchmarkMarkovAnalyze(b *testing.B) {

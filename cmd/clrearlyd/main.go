@@ -33,9 +33,9 @@
 //	GET    /v1/jobs/{id}/events SSE stream of per-generation progress
 //	DELETE /v1/jobs/{id}        cancel (queued or running)
 //	GET    /healthz             liveness probe
-//	GET    /metrics             jobs by state, queue depth, result- and
-//	                            fitness-cache hit rates, per-method
-//	                            latency histograms, store gauges
+//	GET    /metrics             jobs by state, queue depth, result-cache
+//	                            hit rate, per-method latency histograms,
+//	                            store gauges
 //
 // -pprof serves net/http/pprof (goroutine, heap, CPU profiles) on a
 // separate address, e.g. -pprof localhost:6060; off by default so

@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/moea"
 	"repro/internal/pareto"
 )
 
@@ -222,5 +226,35 @@ func TestAccelCountersMove(t *testing.T) {
 	final := AccelTotals()
 	if final.ProxyEvals == after.ProxyEvals || final.ScreenedOut == after.ScreenedOut {
 		t.Fatal("surrogate counters did not advance")
+	}
+}
+
+// TestFitnessKeyRoundTrip checks the canonical key delta evaluation patches
+// distinguishes the schedule inputs it must, matches when they agree, and
+// decodes back to bit-identical decisions.
+func TestFitnessKeyRoundTrip(t *testing.T) {
+	inst := sobelInstance()
+	p := newFCProblem(inst, allFree)
+	rng := rand.New(rand.NewSource(5))
+	n := p.NumTasks()
+	g1 := &moea.Genome{Order: rng.Perm(n)}
+	for task := 0; task < n; task++ {
+		g1.Genes = append(g1.Genes, p.RandomGene(rng, task))
+	}
+	g2 := g1.Clone()
+	d1 := p.decisionsInto(nil, g1)
+	k1 := appendFitnessKey(nil, g1.Order, d1)
+	k2 := appendFitnessKey(nil, g2.Order, p.decisionsInto(nil, g2))
+	if !slices.Equal(k1, k2) {
+		t.Fatal("identical genomes produced different keys")
+	}
+	if got := decisionsFromKey(nil, k1); !reflect.DeepEqual(got, d1) {
+		t.Fatalf("decisions do not round-trip through the key:\ngot  %+v\nwant %+v", got, d1)
+	}
+	// Swapping two order entries must change the key.
+	g2.Order[0], g2.Order[1] = g2.Order[1], g2.Order[0]
+	k3 := appendFitnessKey(nil, g2.Order, p.decisionsInto(nil, g2))
+	if slices.Equal(k1, k3) {
+		t.Fatal("different orders produced equal keys")
 	}
 }

@@ -126,13 +126,12 @@ func (in *Instance) MetricsCacheStats() CacheStats {
 }
 
 // WithPlatform returns a copy of the instance bound to a different platform
-// and fresh metric/fitness caches. Task metrics depend on the PE type's
+// and a fresh metric cache. Task metrics depend on the PE type's
 // fault rates and DVFS modes, so a derived environment (e.g. a scenario
 // with scaled SEU rates) must not share cached values with its parent.
 func (in *Instance) WithPlatform(p *platform.Platform) *Instance {
 	out := *in
 	out.Platform = p
 	out.metrics = nil
-	out.fitness = nil
 	return &out
 }

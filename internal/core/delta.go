@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/moea"
 	"repro/internal/schedule"
@@ -15,7 +16,6 @@ type problemCore interface {
 	moea.Problem
 	instance() *Instance
 	sysObjs() []SystemObjective
-	fitCache() *fitnessCache
 	// decodeDecision resolves one task's gene into its schedule decision.
 	decodeDecision(task int, g moea.Gene) schedule.TaskDecision
 }
@@ -47,15 +47,29 @@ type evalState struct {
 	eval  moea.Evaluation
 }
 
-// Key layout (see appendFitnessKey): word 0 is the task count n, words
-// [1, 1+n) the priority permutation, then 10 words per task — the PE id
-// followed by the 8 metric fields and the footprint as float64 bits.
+// Key layout: word 0 is the task count n, words [1, 1+n) the priority
+// permutation, then 10 words per task — the PE id followed by the 8 metric
+// fields and the footprint as float64 bits.
 const decisionWords = 10
 
 func decisionBase(n, task int) int { return 1 + n + decisionWords*task }
 
-// encodeDecision writes the 10-word canonical encoding of one decision,
-// mirroring appendFitnessKey's per-task block exactly.
+// appendFitnessKey encodes the schedule inputs into dst in the key layout
+// above.
+func appendFitnessKey(dst []uint64, order []int, decisions []schedule.TaskDecision) []uint64 {
+	dst = append(dst, uint64(len(order)))
+	for _, t := range order {
+		dst = append(dst, uint64(t))
+	}
+	var buf [decisionWords]uint64
+	for i := range decisions {
+		encodeDecision(&buf, decisions[i])
+		dst = append(dst, buf[:]...)
+	}
+	return dst
+}
+
+// encodeDecision writes the 10-word canonical encoding of one decision.
 func encodeDecision(dst *[decisionWords]uint64, d schedule.TaskDecision) {
 	dst[0] = uint64(d.PE)
 	dst[1] = math.Float64bits(d.Metrics.EtaHours)
@@ -97,7 +111,7 @@ func decisionsFromKey(dst []schedule.TaskDecision, key []uint64) []schedule.Task
 
 // coreEvaluator is the per-worker evaluation scratch shared by both
 // problem formulations: a reusable decision buffer, a reusable schedule
-// evaluator, the fitness-cache key scratch and the delta change mask. It
+// evaluator, the fitness-key scratch and the delta change mask. It
 // implements moea.DeltaEvaluator; delta evaluation is exact — every path
 // produces bit-identical evaluations to Evaluate.
 type coreEvaluator struct {
@@ -110,15 +124,7 @@ type coreEvaluator struct {
 
 func (e *coreEvaluator) Evaluate(g *moea.Genome) moea.Evaluation {
 	e.decisions = decisionsIntoCore(e.p, e.decisions, g)
-	fit := e.p.fitCache()
-	if fit == nil {
-		return e.run(g.Order, nil)
-	}
-	e.key = appendFitnessKey(e.key[:0], g.Order, e.decisions)
-	return fit.lookup(fitnessHash(e.key), e.key, func() ([]float64, float64) {
-		ev := e.run(g.Order, nil)
-		return ev.Objectives, ev.Violation
-	})
+	return e.run(g.Order, nil)
 }
 
 // run schedules the already-decoded decisions and derives the evaluation,
@@ -144,9 +150,7 @@ func (e *coreEvaluator) run(order []int, capture *schedule.SeqTimes) moea.Evalua
 //   - fitness depends only on the key (order + decoded decisions), so an
 //     unchanged key returns the parent's evaluation verbatim;
 //   - the schedule prefix replay is bit-identical to a full run (see
-//     schedule.RunWithCommDelta);
-//   - the fitness cache is still consulted with the patched key, so delta
-//     and full evaluation populate and hit the same entries.
+//     schedule.RunWithCommDelta).
 func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, parentState any) (moea.Evaluation, any) {
 	st, ok := parentState.(*evalState)
 	if parent == nil || !ok || st == nil {
@@ -179,7 +183,7 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 		}
 		encodeDecision(&buf, e.p.decodeDecision(t, g.Genes[t]))
 		b := decisionBase(n, t)
-		if !keyEqual(e.key[b:b+decisionWords], buf[:]) {
+		if !slices.Equal(e.key[b:b+decisionWords], buf[:]) {
 			copy(e.key[b:b+decisionWords], buf[:])
 			e.changed[t] = true
 			anyChanged = true
@@ -190,38 +194,31 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 	}
 	if sameOrder && !anyChanged {
 		// Identical schedule inputs: the parent's evaluation is the
-		// child's, no scheduling and no cache traffic at all.
+		// child's, no scheduling at all.
 		accelCounters.deltaParentReuse.Add(1)
 		return st.eval, st
 	}
 
 	keyCopy := append([]uint64(nil), e.key...)
-	compute := func() ([]float64, float64, *schedule.SeqTimes) {
-		inst := e.p.instance()
-		e.decisions = decisionsFromKey(e.decisions, keyCopy)
-		capture := &schedule.SeqTimes{}
-		var res *schedule.Result
-		var err error
-		if sameOrder && st.times != nil {
-			accelCounters.deltaPrefixRuns.Add(1)
-			res, err = e.sched.RunWithCommDelta(inst.Graph, inst.Platform, g.Order, e.decisions, inst.Comm, st.times, e.changed, capture)
-		} else {
-			accelCounters.deltaFullRuns.Add(1)
-			res, err = e.sched.RunWithCommCapture(inst.Graph, inst.Platform, g.Order, e.decisions, inst.Comm, capture)
-		}
-		if err != nil {
-			panic("core: schedule evaluation failed: " + err.Error())
-		}
-		return objectiveVector(res, e.p.sysObjs()), totalViolation(inst, res), capture
-	}
-	nst := &evalState{key: keyCopy}
-	if fit := e.p.fitCache(); fit != nil {
-		nst.eval, nst.times = fit.lookupTimes(fitnessHash(keyCopy), keyCopy, compute)
+	inst := e.p.instance()
+	e.decisions = decisionsFromKey(e.decisions, keyCopy)
+	capture := &schedule.SeqTimes{}
+	var res *schedule.Result
+	var err error
+	if sameOrder && st.times != nil {
+		accelCounters.deltaPrefixRuns.Add(1)
+		res, err = e.sched.RunWithCommDelta(inst.Graph, inst.Platform, g.Order, e.decisions, inst.Comm, st.times, e.changed, capture)
 	} else {
-		objs, viol, times := compute()
-		nst.eval = moea.Evaluation{Objectives: objs, Violation: viol}
-		nst.times = times
+		accelCounters.deltaFullRuns.Add(1)
+		res, err = e.sched.RunWithCommCapture(inst.Graph, inst.Platform, g.Order, e.decisions, inst.Comm, capture)
 	}
+	if err != nil {
+		panic("core: schedule evaluation failed: " + err.Error())
+	}
+	nst := &evalState{key: keyCopy, times: capture, eval: moea.Evaluation{
+		Objectives: objectiveVector(res, e.p.sysObjs()),
+		Violation:  totalViolation(inst, res),
+	}}
 	return nst.eval, nst
 }
 
@@ -231,20 +228,8 @@ func (e *coreEvaluator) EvaluateDelta(g *moea.Genome, parent *moea.Genome, paren
 func (e *coreEvaluator) evaluateRetain(g *moea.Genome) (moea.Evaluation, any) {
 	e.decisions = decisionsIntoCore(e.p, e.decisions, g)
 	e.key = appendFitnessKey(e.key[:0], g.Order, e.decisions)
-	keyCopy := append([]uint64(nil), e.key...)
-	compute := func() ([]float64, float64, *schedule.SeqTimes) {
-		accelCounters.deltaFullRuns.Add(1)
-		capture := &schedule.SeqTimes{}
-		ev := e.run(g.Order, capture)
-		return ev.Objectives, ev.Violation, capture
-	}
-	nst := &evalState{key: keyCopy}
-	if fit := e.p.fitCache(); fit != nil {
-		nst.eval, nst.times = fit.lookupTimes(fitnessHash(keyCopy), keyCopy, compute)
-	} else {
-		objs, viol, times := compute()
-		nst.eval = moea.Evaluation{Objectives: objs, Violation: viol}
-		nst.times = times
-	}
+	accelCounters.deltaFullRuns.Add(1)
+	nst := &evalState{key: append([]uint64(nil), e.key...), times: &schedule.SeqTimes{}}
+	nst.eval = e.run(g.Order, nst.times)
 	return nst.eval, nst
 }

@@ -105,11 +105,6 @@ type Instance struct {
 	// whose per-PE resident footprint exceeds the PE type's LocalMemKB are
 	// treated as constraint violations. Off reproduces the paper's model.
 	EnforceMemory bool
-	// FitnessCacheCap bounds the instance's genome-level fitness cache
-	// (see fitcache.go): 0 means DefaultFitnessCacheEntries, negative
-	// disables memoization. Cached and uncached evaluations are
-	// byte-identical, so this knob trades memory for speed only.
-	FitnessCacheCap int
 	// Faults, when non-nil, evaluates every task metric under the resolved
 	// per-PE-type combined fault model (relmodel.EvaluateFM); nil keeps the
 	// SEU-only path bit-identical to the base engine. The model is constant
@@ -121,10 +116,8 @@ type Instance struct {
 	// metrics is the lazily created instance-level Markov-metric cache
 	// (see cache.go), shared by every strategy run on this instance. A
 	// plain pointer keeps Instance values copyable; use WithPlatform when
-	// deriving an instance whose metrics differ. fitness is the analogous
-	// genome-level evaluation cache (fitcache.go).
+	// deriving an instance whose metrics differ.
 	metrics *metricsCache
-	fitness *fitnessCache
 }
 
 // Validate checks cross-references between the instance's components.

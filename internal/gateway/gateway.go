@@ -376,57 +376,27 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Reject specs that cannot build at the edge: a 400 here is cheaper
-	// for the fleet than a failed job on a worker.
-	if _, _, err := service.Build(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	hash := spec.Hash()
 
-	g.mu.Lock()
-	// Content-addressed routing, cheapest source first: an identical job
-	// already in flight absorbs the submission outright.
-	if dup := g.activeByHash[hash]; dup != nil {
-		dup.mu.Lock()
-		dup.attached++
-		dup.mu.Unlock()
-		t.deduped.Add(1)
-		g.m.attachHits.Add(1)
-		g.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, dup.wire(false))
-		return
-	}
-	// Then the shared result cache: gateway-local LRU, falling back to
-	// the replicated terminal-result store that survives restarts.
-	front, ok := g.cache.Get(hash)
-	source := &g.m.cacheHits
-	if !ok && g.cfg.Store != nil {
-		if payload, found := g.cfg.Store.Result(hash); found {
-			var fw service.FrontWire
-			if err := json.Unmarshal(payload, &fw); err == nil {
-				front, ok = &fw, true
-				source = &g.m.storeHits
-				g.cache.Add(hash, front)
-			}
+	// Content-addressed routing, cheapest source first. A spec whose hash
+	// is in flight or cached built before (Build is deterministic), so
+	// the edge build runs only on a miss — outside the lock, after which
+	// the routing re-checks for an identical spec admitted meanwhile.
+	for built := false; ; built = true {
+		g.mu.Lock()
+		if g.routeKnownLocked(w, t, spec, hash) {
+			return
 		}
-	}
-	if ok {
-		source.Add(1)
-		t.deduped.Add(1)
-		j := g.newJobLocked(t, spec, hash)
-		j.state = service.StateDone
-		j.cached = true
-		j.front = front
-		j.finished = j.submitted
-		close(j.done)
-		g.jobs[j.id] = j
-		g.order = append(g.order, j.id)
+		if built {
+			break // g.mu stays held for admission below
+		}
 		g.mu.Unlock()
-		g.journalAccept(j)
-		g.journalFinish(j)
-		writeJSON(w, http.StatusOK, j.wire(true))
-		return
+		// Reject specs that cannot build at the edge: a 400 here is
+		// cheaper for the fleet than a failed job on a worker.
+		if _, _, err := service.Build(&spec); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 	g.m.misses.Add(1)
 
@@ -467,6 +437,62 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.wire(false))
+}
+
+// routeKnownLocked answers a submission without dispatch when it can: an
+// identical job already in flight absorbs it outright, else the shared
+// result cache — gateway-local LRU, falling back to the replicated
+// terminal-result store that survives restarts — serves the front. The
+// caller holds g.mu; routeKnownLocked releases it when it answers.
+func (g *Gateway) routeKnownLocked(w http.ResponseWriter, t *tenant, spec service.JobSpec, hash string) bool {
+	if dup := g.activeByHash[hash]; dup != nil {
+		dup.mu.Lock()
+		dup.attached++
+		if dup.tenant != t {
+			// The attaching tenant is handed this job's ID, so it may read
+			// the job (not cancel it: that stays with the owner).
+			if dup.readers == nil {
+				dup.readers = make(map[*tenant]struct{})
+			}
+			dup.readers[t] = struct{}{}
+		}
+		dup.mu.Unlock()
+		t.deduped.Add(1)
+		g.m.attachHits.Add(1)
+		g.mu.Unlock()
+		writeJSON(w, http.StatusAccepted, dup.wire(false))
+		return true
+	}
+	front, ok := g.cache.Get(hash)
+	source := &g.m.cacheHits
+	if !ok && g.cfg.Store != nil {
+		if payload, found := g.cfg.Store.Result(hash); found {
+			var fw service.FrontWire
+			if err := json.Unmarshal(payload, &fw); err == nil {
+				front, ok = &fw, true
+				source = &g.m.storeHits
+				g.cache.Add(hash, front)
+			}
+		}
+	}
+	if !ok {
+		return false
+	}
+	source.Add(1)
+	t.deduped.Add(1)
+	j := g.newJobLocked(t, spec, hash)
+	j.state = service.StateDone
+	j.cached = true
+	j.front = front
+	j.finished = j.submitted
+	close(j.done)
+	g.jobs[j.id] = j
+	g.order = append(g.order, j.id)
+	g.mu.Unlock()
+	g.journalAccept(j)
+	g.journalFinish(j)
+	writeJSON(w, http.StatusOK, j.wire(true))
+	return true
 }
 
 // newJobLocked allocates a job record; the caller holds g.mu.
@@ -580,9 +606,10 @@ func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *gwJob {
 	j := g.jobs[r.PathValue("id")]
 	g.mu.Unlock()
 	// Another tenant's job reads as absent, not forbidden: job IDs must
-	// not confirm what other tenants are running. Jobs recovered under a
+	// not confirm what other tenants are running. Tenants that attached to
+	// the job were handed its ID and may read it; jobs recovered under a
 	// dropped tenant stay readable by anyone authenticated.
-	if j == nil || (j.tenant != t && j.tenant != g.anon) {
+	if j == nil || (j.tenant != t && j.tenant != g.anon && !j.readableBy(t)) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return nil
 	}

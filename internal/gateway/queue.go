@@ -31,14 +31,23 @@ type gwJob struct {
 	front     *service.FrontWire
 	progress  *service.ProgressWire
 	subs      map[chan service.ProgressWire]struct{}
-	done      chan struct{} // closed on terminal state
-	cancelReq bool          // client asked for cancellation while leased
-	attempts  int           // lease deliveries so far
-	worker    string        // current lease holder
-	attached  int64         // duplicate submissions attached in flight
+	done      chan struct{}        // closed on terminal state
+	cancelReq bool                 // client asked for cancellation while leased
+	attempts  int                  // lease deliveries so far
+	worker    string               // current lease holder
+	attached  int64                // duplicate submissions attached in flight
+	readers   map[*tenant]struct{} // other tenants that attached; see lookup
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+}
+
+// readableBy reports whether t attached to this job from another tenant.
+func (j *gwJob) readableBy(t *tenant) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	_, ok := j.readers[t]
+	return ok
 }
 
 // wire snapshots the job in the daemon's JobWire schema, so gateway

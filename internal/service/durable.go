@@ -122,6 +122,7 @@ func (s *Server) recover(st *store.Store) []*job {
 		}
 		if jr.Pending() {
 			j.state = StateQueued
+			s.activeByHash[j.hash] = j
 			pending = append(pending, j)
 		} else {
 			j.state = jr.State

@@ -105,7 +105,6 @@ type MetricsWire struct {
 	Jobs        JobCountsWire            `json:"jobs"`
 	Queue       QueueWire                `json:"queue"`
 	Cache       CacheWire                `json:"cache"`
-	Fitness     FitnessWire              `json:"fitness_cache"`
 	Accel       EvalAccelWire            `json:"eval_accel"`
 	Selection   SelectionWire            `json:"selection"`
 	Convergence ConvergenceWire          `json:"convergence"`
@@ -189,16 +188,6 @@ type CacheWire struct {
 	Misses   int64 `json:"misses"`
 	Size     int   `json:"size"`
 	Capacity int   `json:"capacity"`
-}
-
-// FitnessWire reports the process-wide genome-level fitness-cache counters
-// accumulated across every job's DSE instance (see core.FitnessCacheTotals).
-type FitnessWire struct {
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Bypasses  uint64  `json:"bypasses"`
-	Evictions uint64  `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
 }
 
 // EvalAccelWire reports the process-wide evaluation-acceleration counters

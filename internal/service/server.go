@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/store"
+	"repro/internal/tdse"
 )
 
 // Config sizes the job service.
@@ -78,8 +79,13 @@ type job struct {
 	spec JobSpec
 	hash string
 
-	mu        sync.Mutex
-	state     string
+	mu    sync.Mutex
+	state string
+	// inst and flib are the admission build, carried from handleSubmit to
+	// the worker so the spec's tDSE runs once. runJob takes them; every
+	// terminal transition drops them. Nil for jobs recovered from a store.
+	inst      *core.Instance
+	flib      *tdse.Library
 	cached    bool
 	errMsg    string
 	front     *FrontWire
@@ -137,12 +143,16 @@ type Server struct {
 	metrics *Metrics
 	wg      sync.WaitGroup
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // submission order, for listing
-	cache    *lruCache
-	draining bool
-	nextID   int64
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string // submission order, for listing
+	// activeByHash indexes queued and running jobs by spec hash for the
+	// in-flight dedup. An entry may briefly outlive its job's terminal
+	// transition, so readers check the state.
+	activeByHash map[string]*job
+	cache        *lruCache
+	draining     bool
+	nextID       int64
 }
 
 // New starts a job service with cfg's queue, worker-pool and cache sizes.
@@ -150,12 +160,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, abort := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
-		baseCtx: ctx,
-		abort:   abort,
-		metrics: newMetrics(),
-		jobs:    make(map[string]*job),
-		cache:   newLRUCache(cfg.CacheCap),
+		cfg:          cfg,
+		baseCtx:      ctx,
+		abort:        abort,
+		metrics:      newMetrics(),
+		jobs:         make(map[string]*job),
+		activeByHash: make(map[string]*job),
+		cache:        newLRUCache(cfg.CacheCap),
 	}
 	// Recovery pass: replay the store before serving, and size the queue so
 	// the whole recovered backlog fits alongside a full queue of new work.
@@ -223,6 +234,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			j.mu.Lock()
 			if j.state == StateQueued {
 				s.finishLocked(j, StateCancelled, "service shutting down")
+				delete(s.activeByHash, j.hash)
 			}
 			j.mu.Unlock()
 		}
@@ -264,6 +276,8 @@ func (s *Server) runJob(j *job) {
 	j.state = StateRunning
 	j.cancel = cancel
 	j.started = time.Now()
+	inst, flib := j.inst, j.flib
+	j.inst, j.flib = nil, nil
 	j.mu.Unlock()
 	defer cancel()
 
@@ -280,7 +294,11 @@ func (s *Server) runJob(j *job) {
 		// mid-evolution instead of restarting.
 		hooks.Checkpoint = newJobCheckpointer(s.cfg.Store, j.hash)
 	}
-	inst, flib, err := Build(&j.spec)
+	var err error
+	if inst == nil {
+		// Recovered from the store: never admitted in this process.
+		inst, flib, err = Build(&j.spec)
+	}
 	var front *core.Front
 	if err == nil {
 		front, err = ExecuteOnHooks(ctx, inst, flib, &j.spec, hooks)
@@ -305,11 +323,12 @@ func (s *Server) runJob(j *job) {
 	}
 	j.mu.Unlock()
 
+	s.mu.Lock()
 	if j.front != nil {
-		s.mu.Lock()
 		s.cache.Add(j.hash, j.front)
-		s.mu.Unlock()
 	}
+	s.deactivateLocked(j)
+	s.mu.Unlock()
 	if !aborted {
 		s.persistFinish(j)
 	}
@@ -322,8 +341,32 @@ func (s *Server) finishLocked(j *job, state, errMsg string) {
 	if state != StateDone {
 		j.errMsg = errMsg
 	}
+	j.inst, j.flib = nil, nil
 	j.finished = time.Now()
 	close(j.done)
+}
+
+// deactivateLocked drops a terminal job from the in-flight index unless a
+// newer job for the same spec replaced it. The caller holds s.mu.
+func (s *Server) deactivateLocked(j *job) {
+	if s.activeByHash[j.hash] == j {
+		delete(s.activeByHash, j.hash)
+	}
+}
+
+// activeLocked returns the queued or running job for a spec hash, if any.
+// The caller holds s.mu.
+func (s *Server) activeLocked(hash string) *job {
+	j := s.activeByHash[hash]
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateQueued && j.state != StateRunning {
+		return nil
+	}
+	return j
 }
 
 // publishProgress records the latest generation report and fans it out to
@@ -371,75 +414,54 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Materialize the instance once up front so malformed specs (e.g. bad
-	// inline graphs) fail fast with 400 instead of failing the job later.
-	if _, _, err := Build(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	hash := spec.Hash()
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "service shutting down")
-		return
-	}
-	s.metrics.incSubmitted()
-	// In-flight dedupe: a spec identical to one already queued or running
-	// is the same deterministic computation, so the second client attaches
-	// to the first job instead of doubling the work. (Finished duplicates
-	// are handled below by the result cache.)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		dup := s.jobs[s.order[i]]
-		if dup.hash != hash {
-			continue
+	// Two passes: the first answers attaches and cache hits, which build
+	// nothing (their spec already built once, and Build is deterministic);
+	// otherwise the spec builds outside the lock and the second pass
+	// re-checks, since an identical spec may have been admitted meanwhile.
+	var inst *core.Instance
+	var flib *tdse.Library
+	for {
+		s.mu.Lock()
+		if s.draining {
+			s.mu.Unlock()
+			httpError(w, http.StatusServiceUnavailable, "service shutting down")
+			return
 		}
-		dup.mu.Lock()
-		active := dup.state == StateQueued || dup.state == StateRunning
-		dup.mu.Unlock()
-		if active {
+		if inst == nil {
+			s.metrics.incSubmitted()
+		}
+		// In-flight dedupe: a spec identical to one already queued or
+		// running is the same deterministic computation, so the second
+		// client attaches to the first job instead of doubling the work.
+		if dup := s.activeLocked(hash); dup != nil {
 			s.metrics.incDeduped()
 			s.mu.Unlock()
 			writeJSON(w, http.StatusAccepted, dup.wire(false))
 			return
 		}
-	}
-	s.nextID++
-	j := &job{
-		id:        fmt.Sprintf("j%06d", s.nextID),
-		spec:      spec,
-		hash:      hash,
-		subs:      make(map[chan ProgressWire]struct{}),
-		done:      make(chan struct{}),
-		submitted: time.Now(),
-	}
-	if front, ok := s.cache.Get(hash); ok {
-		// Same canonical spec (incl. seed) → same deterministic front:
-		// serve the cached result without running.
-		s.metrics.incCacheHit()
-		j.state = StateDone
-		j.cached = true
-		j.front = front
-		j.finished = j.submitted
-		close(j.done)
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.mu.Unlock()
-		if st := s.cfg.Store; st != nil {
-			// Best-effort: the front itself is already durable under this
-			// hash; journaling the job record just keeps GET /v1/jobs/{id}
-			// answering across a restart.
-			if spec, err := json.Marshal(&j.spec); err == nil {
-				_ = st.AcceptJob(j.id, hash, spec, j.submitted)
-				_ = st.FinishJob(j.id, StateDone, hash, "", true, nil, j.finished)
-			}
+		if front, ok := s.cache.Get(hash); ok {
+			s.serveCachedLocked(w, spec, hash, front)
+			return
 		}
-		writeJSON(w, http.StatusOK, j.wire(true))
-		return
+		if inst != nil {
+			break // s.mu stays held for the enqueue below
+		}
+		s.mu.Unlock()
+		// Materialize the instance up front so malformed specs (e.g. bad
+		// inline graphs) fail fast with 400 instead of failing the job
+		// later; the worker then runs on this build.
+		var err error
+		if inst, flib, err = Build(&spec); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 	s.metrics.incCacheMiss()
+	j := s.newJobLocked(spec, hash)
 	j.state = StateQueued
+	j.inst, j.flib = inst, flib
 	// Holding j.mu across enqueue + journaling keeps a fast worker from
 	// finishing the job before its accept record is durable (runJob's first
 	// act is taking j.mu).
@@ -457,6 +479,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
+	s.activeByHash[hash] = j
 	s.mu.Unlock()
 	if st := s.cfg.Store; st != nil {
 		// Journal the accepted spec before acknowledging: once the client
@@ -469,12 +492,54 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			s.finishLocked(j, StateFailed, "journaling job: "+err.Error())
 			j.mu.Unlock()
+			s.mu.Lock()
+			s.deactivateLocked(j)
+			s.mu.Unlock()
 			httpError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
 			return
 		}
 	}
 	j.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, j.wire(false))
+}
+
+// newJobLocked allocates the next job record; the caller holds s.mu.
+func (s *Server) newJobLocked(spec JobSpec, hash string) *job {
+	s.nextID++
+	return &job{
+		id:        fmt.Sprintf("j%06d", s.nextID),
+		spec:      spec,
+		hash:      hash,
+		subs:      make(map[chan ProgressWire]struct{}),
+		done:      make(chan struct{}),
+		submitted: time.Now(),
+	}
+}
+
+// serveCachedLocked answers a submission from the result cache: same
+// canonical spec (incl. seed) → same deterministic front, served without
+// running. The caller holds s.mu; serveCachedLocked releases it.
+func (s *Server) serveCachedLocked(w http.ResponseWriter, spec JobSpec, hash string, front *FrontWire) {
+	s.metrics.incCacheHit()
+	j := s.newJobLocked(spec, hash)
+	j.state = StateDone
+	j.cached = true
+	j.front = front
+	j.finished = j.submitted
+	close(j.done)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.mu.Unlock()
+	if st := s.cfg.Store; st != nil {
+		// Best-effort: the front itself is already durable under this
+		// hash; journaling the job record just keeps GET /v1/jobs/{id}
+		// answering across a restart.
+		if spec, err := json.Marshal(&j.spec); err == nil {
+			_ = st.AcceptJob(j.id, hash, spec, j.submitted)
+			_ = st.FinishJob(j.id, StateDone, hash, "", true, nil, j.finished)
+		}
+	}
+	writeJSON(w, http.StatusOK, j.wire(true))
 }
 
 func (s *Server) lookup(r *http.Request) (*job, bool) {
@@ -543,12 +608,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
+	s.mu.Lock()
 	j.mu.Lock()
 	wasQueued := false
 	switch j.state {
 	case StateQueued:
 		// The job stays in the queue channel; the worker skips it.
 		s.finishLocked(j, StateCancelled, "cancelled")
+		s.deactivateLocked(j)
 		wasQueued = true
 	case StateRunning:
 		// The GA polls the context between generations, so the run stops
@@ -556,6 +623,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.cancel()
 	}
 	j.mu.Unlock()
+	s.mu.Unlock()
 	if wasQueued {
 		// A client cancellation is a terminal decision: journal it (and
 		// drop any checkpoint) so a restart does not resurrect the job.
@@ -639,14 +707,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics.snapshot()
 	m.Queue = QueueWire{Depth: len(s.queue), Capacity: s.cfg.QueueCap}
-	ft := core.FitnessCacheTotals()
-	m.Fitness = FitnessWire{
-		Hits:      ft.Hits,
-		Misses:    ft.Misses,
-		Bypasses:  ft.Bypasses,
-		Evictions: ft.Evictions,
-		HitRate:   ft.HitRate(),
-	}
 	at := core.AccelTotals()
 	m.Accel = EvalAccelWire{
 		DeltaParentReuse: at.DeltaParentReuse,
