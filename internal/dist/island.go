@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/moea"
+	"repro/internal/service"
 )
 
 // Distributed island migration: the HTTP form of the moea.IslandHub epoch
@@ -173,26 +174,26 @@ func (h *MigrationHub) acquire(req *ExchangeRequest) (*hubRun, int, error) {
 // context), answer with the routed immigrants.
 func (h *MigrationHub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpHubError(w, http.StatusMethodNotAllowed, "POST only")
+		service.HTTPError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req ExchangeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxExchangeBody)).Decode(&req); err != nil {
-		httpHubError(w, http.StatusBadRequest, fmt.Sprintf("decoding exchange: %v", err))
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding exchange: %v", err))
 		return
 	}
 	if err := req.validate(); err != nil {
-		httpHubError(w, http.StatusBadRequest, err.Error())
+		service.HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	run, status, err := h.acquire(&req)
 	if err != nil {
-		httpHubError(w, status, err.Error())
+		service.HTTPError(w, status, err.Error())
 		return
 	}
 	for _, e := range req.Log {
 		if err := run.hub.Seed(req.Island, e.Epoch, e.Migrants); err != nil {
-			httpHubError(w, http.StatusConflict, err.Error())
+			service.HTTPError(w, http.StatusConflict, err.Error())
 			return
 		}
 	}
@@ -203,17 +204,11 @@ func (h *MigrationHub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		// Poisoned barrier: a peer died or replayed divergent state. 409
 		// is permanent for the client — retrying cannot unpoison the run.
-		httpHubError(w, http.StatusConflict, err.Error())
+		service.HTTPError(w, http.StatusConflict, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(ExchangeResponse{Migrants: in})
-}
-
-func httpHubError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 // IslandExchanger is the client half: a moea-compatible Exchange transport

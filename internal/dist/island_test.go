@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/moea"
+	"repro/internal/service"
 )
 
 // ringProblem is a small deterministic two-objective problem for exercising
@@ -319,7 +320,7 @@ func TestExchangerPermanentErrors(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		httpHubError(w, http.StatusConflict, "poisoned")
+		service.HTTPError(w, http.StatusConflict, "poisoned")
 	}))
 	defer srv.Close()
 	ex := &IslandExchanger{BaseURL: srv.URL, Run: "px", Islands: 2, Count: 1,

@@ -63,7 +63,7 @@ func (g *Gateway) authWorker(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if !service.CheckBearer(r, g.cfg.WorkerToken) {
 		g.m.rejectedAuth.Add(1)
-		httpError(w, http.StatusUnauthorized, "missing or invalid worker token")
+		service.HTTPError(w, http.StatusUnauthorized, "missing or invalid worker token")
 		return false
 	}
 	return true
@@ -77,18 +77,18 @@ func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	var req LeaseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding lease request: %v", err))
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding lease request: %v", err))
 		return
 	}
 	if req.Worker == "" {
-		httpError(w, http.StatusBadRequest, "lease request names no worker")
+		service.HTTPError(w, http.StatusBadRequest, "lease request names no worker")
 		return
 	}
 	poll := 2 * time.Second
 	if req.Timeout != "" {
 		parsed, err := time.ParseDuration(req.Timeout)
 		if err != nil || parsed <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", req.Timeout))
+			service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", req.Timeout))
 			return
 		}
 		poll = min(parsed, 30*time.Second)
@@ -100,7 +100,7 @@ func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
 	for {
 		wakeC := g.queue.awaitC() // arm before popping so no enqueue is missed
 		if grant := g.tryLease(req.Worker); grant != nil {
-			writeJSON(w, http.StatusOK, grant)
+			service.WriteJSON(w, http.StatusOK, grant)
 			return
 		}
 		select {
@@ -124,19 +124,19 @@ func (g *Gateway) tryLease(workerName string) *LeaseGrant {
 		if j == nil {
 			return nil
 		}
-		j.mu.Lock()
-		if j.state != service.StateQueued {
-			j.mu.Unlock() // cancelled between enqueue and lease; skip
+		j.Lock()
+		if j.State != service.StateQueued {
+			j.Unlock() // cancelled between enqueue and lease; skip
 			continue
 		}
-		j.state = service.StateRunning
+		j.State = service.StateRunning
 		j.worker = workerName
 		j.attempts++
 		delivery := j.attempts
-		if j.started.IsZero() {
-			j.started = time.Now()
+		if j.Started.IsZero() {
+			j.Started = time.Now()
 		}
-		j.mu.Unlock()
+		j.Unlock()
 
 		now := time.Now()
 		g.mu.Lock()
@@ -151,11 +151,11 @@ func (g *Gateway) tryLease(workerName string) *LeaseGrant {
 		g.leases[l.id] = l
 		g.mu.Unlock()
 		g.m.leasesGranted.Add(1)
-		spec := j.spec
+		spec := j.Spec
 		return &LeaseGrant{
 			LeaseID:  l.id,
-			JobID:    j.id,
-			Hash:     j.hash,
+			JobID:    j.ID,
+			Hash:     j.Hash,
 			Spec:     &spec,
 			TTLMS:    g.cfg.LeaseTTL.Milliseconds(),
 			Delivery: delivery,
@@ -199,7 +199,7 @@ func (g *Gateway) takeLease(w http.ResponseWriter, r *http.Request, consume bool
 		// should drop the run — its result is redundant, never wrong,
 		// because identical specs compute identical fronts.
 		g.m.staleLeaseCalls.Add(1)
-		httpError(w, http.StatusGone, "lease expired or unknown")
+		service.HTTPError(w, http.StatusGone, "lease expired or unknown")
 		return nil
 	}
 	g.touchWorker(l.worker, "")
@@ -216,22 +216,21 @@ func (g *Gateway) handleLeaseProgress(w http.ResponseWriter, r *http.Request) {
 	}
 	var p service.ProgressWire
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&p); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding progress: %v", err))
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding progress: %v", err))
 		return
 	}
 	g.m.progressEvents.Add(1)
-	j := l.job
-	j.mu.Lock()
-	j.progress = &p
-	for sub := range j.subs {
-		select {
-		case sub <- p:
-		default: // slow subscriber: coalesce by dropping this generation
-		}
-	}
+	l.job.Publish(p)
+	writeAck(w, l.job)
+}
+
+// writeAck answers a live lease call, telling the worker whether the
+// tenant cancelled the job meanwhile.
+func writeAck(w http.ResponseWriter, j *gwJob) {
+	j.Lock()
 	cancelled := j.cancelReq
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, LeaseAck{Cancelled: cancelled})
+	j.Unlock()
+	service.WriteJSON(w, http.StatusOK, LeaseAck{Cancelled: cancelled})
 }
 
 // handleLeaseRenew extends the lease without a progress payload.
@@ -241,11 +240,7 @@ func (g *Gateway) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.m.leasesRenewed.Add(1)
-	j := l.job
-	j.mu.Lock()
-	cancelled := j.cancelReq
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, LeaseAck{Cancelled: cancelled})
+	writeAck(w, l.job)
 }
 
 // handleLeaseComplete terminates a leased job with the worker's outcome.
@@ -256,19 +251,19 @@ func (g *Gateway) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	var req CompleteRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding completion: %v", err))
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding completion: %v", err))
 		return
 	}
 	j := l.job
 	if req.Final != nil {
-		j.mu.Lock()
-		j.progress = req.Final
-		j.mu.Unlock()
+		j.Lock()
+		j.Progress = req.Final
+		j.Unlock()
 	}
 	switch req.State {
 	case service.StateDone:
 		if req.Front == nil {
-			httpError(w, http.StatusBadRequest, "done completion carries no front")
+			service.HTTPError(w, http.StatusBadRequest, "done completion carries no front")
 			return
 		}
 		g.finalize(j, service.StateDone, "", req.Front)
@@ -277,7 +272,7 @@ func (g *Gateway) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	case service.StateCancelled:
 		g.finalize(j, service.StateCancelled, "cancelled", nil)
 	default:
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown terminal state %q", req.State))
+		service.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("unknown terminal state %q", req.State))
 		return
 	}
 	g.mu.Lock()
@@ -289,7 +284,7 @@ func (g *Gateway) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, LeaseAck{})
+	service.WriteJSON(w, http.StatusOK, LeaseAck{})
 }
 
 // expiryLoop reclaims leases whose workers stopped renewing — the
@@ -339,13 +334,13 @@ func (g *Gateway) expiryLoop() {
 // expireLease returns one abandoned job to the queue (or fails it).
 func (g *Gateway) expireLease(l *lease) {
 	j := l.job
-	j.mu.Lock()
-	if j.state != service.StateRunning || j.worker != l.worker {
-		j.mu.Unlock() // completed, cancelled or already re-leased
+	j.Lock()
+	if j.State != service.StateRunning || j.worker != l.worker {
+		j.Unlock() // completed, cancelled or already re-leased
 		return
 	}
 	if j.cancelReq {
-		j.mu.Unlock()
+		j.Unlock()
 		// The tenant cancelled while the (now dead) worker held the
 		// lease; the expiry makes the cancellation terminal.
 		g.finalize(j, service.StateCancelled, "cancelled", nil)
@@ -353,13 +348,13 @@ func (g *Gateway) expireLease(l *lease) {
 	}
 	if j.attempts >= g.cfg.MaxDeliveries {
 		attempts := j.attempts
-		j.mu.Unlock()
+		j.Unlock()
 		g.finalize(j, service.StateFailed,
 			fmt.Sprintf("lease expired after %d deliveries", attempts), nil)
 		return
 	}
-	j.state = service.StateQueued
+	j.State = service.StateQueued
 	j.worker = ""
-	j.mu.Unlock()
+	j.Unlock()
 	g.queue.pushFront(j)
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -177,15 +176,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if hits := m.Dedup.InflightAttach + m.Dedup.CacheHits + m.Dedup.StoreHits; hits+m.Dedup.Misses > 0 {
 		m.Dedup.HitRate = float64(hits) / float64(hits+m.Dedup.Misses)
 	}
-	sel := core.SelectionTotals()
-	m.Selection = service.SelectionWire{SortNanos: sel.SortNanos, ArchiveNanos: sel.ArchiveNanos}
-	m.Convergence = service.ConvergenceWire{
-		GenerationsRun:    sel.GenerationsRun,
-		GenerationsBudget: sel.GenerationsBudget,
-		GenerationsSaved:  sel.GenerationsSaved,
-		PlateauStops:      sel.PlateauStops,
-		LastHypervolume:   sel.LastHypervolume,
-	}
+	m.Selection, m.Convergence = service.SelectionCounters()
 	d := g.queue.depths()
 	m.Queue = QueueDepthsWire{High: d[classHigh], Normal: d[classNormal], Low: d[classLow], Capacity: g.cfg.QueueCap}
 
@@ -195,7 +186,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, l := range g.leases {
 		heldBy[l.worker]++
 		m.Leases.Active = append(m.Leases.Active, LeaseStatusWire{
-			JobID:     l.job.id,
+			JobID:     l.job.ID,
 			Worker:    l.worker,
 			AgeMS:     now.Sub(l.granted).Milliseconds(),
 			ExpiresMS: l.expires.Sub(now).Milliseconds(),
@@ -223,9 +214,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Expired:    wi.expired,
 		})
 	}
-	m.CacheSize = g.cache.Len()
-	m.CacheCapacity = g.cfg.CacheCap
 	g.mu.Unlock()
+	m.CacheSize = g.jobs.CacheLen()
+	m.CacheCapacity = g.cfg.CacheCap
 	sort.Slice(m.Workers, func(i, k int) bool { return m.Workers[i].Name < m.Workers[k].Name })
 	sort.Slice(m.Leases.Active, func(i, k int) bool { return m.Leases.Active[i].JobID < m.Leases.Active[k].JobID })
 
@@ -247,5 +238,5 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sw := service.StoreWire(st.Stats())
 		m.Store = &sw
 	}
-	writeJSON(w, http.StatusOK, m)
+	service.WriteJSON(w, http.StatusOK, m)
 }

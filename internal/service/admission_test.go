@@ -179,9 +179,9 @@ func TestInflightIndex(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_ = s.Shutdown(ctx)
-	s.mu.Lock()
-	left := len(s.activeByHash)
-	s.mu.Unlock()
+	s.jobs.Lock()
+	left := len(s.jobs.byHash)
+	s.jobs.Unlock()
 	if left != 0 {
 		t.Fatalf("%d jobs still indexed as in flight after shutdown", left)
 	}
@@ -221,9 +221,9 @@ func TestConcurrentDuplicatesShareOneJob(t *testing.T) {
 			t.Fatalf("identical concurrent submissions got jobs %v, want one", ids)
 		}
 	}
-	s.mu.Lock()
-	jobs := len(s.jobs)
-	s.mu.Unlock()
+	s.jobs.Lock()
+	jobs := len(s.jobs.byID)
+	s.jobs.Unlock()
 	if jobs != 1 {
 		t.Fatalf("%d jobs created, want 1", jobs)
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -96,67 +95,29 @@ func (jc *jobCheckpointer) persistLocked() {
 // for re-enqueueing). Called from New before the workers start, so no
 // locking is needed.
 func (s *Server) recover(st *store.Store) []*job {
-	for _, r := range st.Results() {
-		var fw FrontWire
-		if err := json.Unmarshal(r.Payload, &fw); err == nil {
-			s.cache.Add(r.Hash, &fw)
-		}
-	}
+	s.jobs.LoadResultsLocked(st)
 	var pending []*job
 	for _, jr := range st.Jobs() {
 		var spec JobSpec
 		if err := json.Unmarshal(jr.Spec, &spec); err != nil {
 			continue // journaled by a newer build; unusable but harmless
 		}
-		j := &job{
-			id:        jr.ID,
-			spec:      spec,
-			hash:      jr.Hash,
-			subs:      make(map[chan ProgressWire]struct{}),
-			done:      make(chan struct{}),
-			submitted: jr.Submitted,
-		}
-		var n int64
-		if _, err := fmt.Sscanf(jr.ID, "j%d", &n); err == nil && n > s.nextID {
-			s.nextID = n
-		}
+		j := &job{Job: s.jobs.RestoreLocked(jr, spec)}
 		if jr.Pending() {
-			j.state = StateQueued
-			s.activeByHash[j.hash] = j
+			s.jobs.AddActiveLocked(j)
 			pending = append(pending, j)
 		} else {
-			j.state = jr.State
-			j.cached = jr.Cached
-			j.errMsg = jr.Error
-			j.finished = jr.Finished
-			if jr.State == StateDone {
-				if fw, ok := s.cache.Get(jr.Hash); ok {
-					j.front = fw
-				}
-			}
-			close(j.done)
+			s.jobs.AddFinishedLocked(j)
 		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
 	}
 	return pending
 }
 
-// persistFinish journals a job's terminal state (and, for done jobs, the
-// result payload that warms the persistent cache) and drops the run
-// checkpoint that is now obsolete. Called without j.mu held.
+// persistFinish journals a job's terminal state (see JournalFinish) and
+// drops the run checkpoint that is now obsolete. Called without j's lock.
 func (s *Server) persistFinish(j *job) {
-	st := s.cfg.Store
-	if st == nil {
-		return
+	if st := s.cfg.Store; st != nil {
+		JournalFinish(st, j.Job)
+		_ = st.ClearCheckpoint(j.Hash)
 	}
-	j.mu.Lock()
-	state, errMsg, cached, front, finished := j.state, j.errMsg, j.cached, j.front, j.finished
-	j.mu.Unlock()
-	var payload json.RawMessage
-	if state == StateDone && front != nil && !cached {
-		payload, _ = json.Marshal(front)
-	}
-	_ = st.FinishJob(j.id, state, j.hash, errMsg, cached, payload, finished)
-	_ = st.ClearCheckpoint(j.hash)
 }

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/core"
 )
 
 // latencyBucketsMS are the upper bounds of the per-method job-latency
@@ -48,23 +51,9 @@ func (h *histogram) wire() HistogramWire {
 	return out
 }
 
+// leLabel renders a whole-millisecond bound without a decimal point.
 func leLabel(bound float64) string {
-	// Bounds are whole milliseconds; render without a decimal point.
-	return "le_" + itoa(int64(bound)) + "ms"
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "le_" + strconv.FormatInt(int64(bound), 10) + "ms"
 }
 
 // Metrics holds the service's expvar-style counters. All methods are safe
@@ -120,6 +109,21 @@ type MetricsWire struct {
 type SelectionWire struct {
 	SortNanos    uint64 `json:"sort_ns"`
 	ArchiveNanos uint64 `json:"archive_ns"`
+}
+
+// SelectionCounters reads the engines' process-wide selection and
+// plateau-termination counters (core.SelectionTotals), the engine block
+// that both servers' /metrics report.
+func SelectionCounters() (SelectionWire, ConvergenceWire) {
+	st := core.SelectionTotals()
+	return SelectionWire{SortNanos: st.SortNanos, ArchiveNanos: st.ArchiveNanos},
+		ConvergenceWire{
+			GenerationsRun:    st.GenerationsRun,
+			GenerationsBudget: st.GenerationsBudget,
+			GenerationsSaved:  st.GenerationsSaved,
+			PlateauStops:      st.PlateauStops,
+			LastHypervolume:   st.LastHypervolume,
+		}
 }
 
 // ConvergenceWire reports plateau-termination activity across every engine

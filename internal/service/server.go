@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -73,61 +72,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is the server-side state of one submitted run.
+// job is the daemon's record of one submitted run: the shared lifecycle
+// record plus what only a local run needs. Fields below are guarded by the
+// embedded Job's lock.
 type job struct {
-	id   string
-	spec JobSpec
-	hash string
-
-	mu    sync.Mutex
-	state string
+	*Job
 	// inst and flib are the admission build, carried from handleSubmit to
-	// the worker so the spec's tDSE runs once. runJob takes them; every
-	// terminal transition drops them. Nil for jobs recovered from a store.
-	inst      *core.Instance
-	flib      *tdse.Library
-	cached    bool
-	errMsg    string
-	front     *FrontWire
-	progress  *ProgressWire
-	cancel    context.CancelFunc // set while running
-	subs      map[chan ProgressWire]struct{}
-	done      chan struct{} // closed on terminal state
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-}
-
-// wire snapshots the job's status; includeFront attaches the result of a
-// finished job.
-func (j *job) wire(includeFront bool) *JobWire {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	w := &JobWire{
-		ID:          j.id,
-		State:       j.state,
-		Method:      j.spec.Method,
-		SpecHash:    j.hash,
-		Cached:      j.cached,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted,
-	}
-	if j.progress != nil {
-		p := *j.progress
-		w.Progress = &p
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		w.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		w.FinishedAt = &t
-	}
-	if includeFront && j.state == StateDone {
-		w.Front = j.front
-	}
-	return w
+	// the worker so the spec's tDSE runs once. The worker drops them when
+	// it dequeues the job, run or not. Nil for jobs recovered from a store.
+	inst   *core.Instance
+	flib   *tdse.Library
+	cancel context.CancelFunc // set while running
 }
 
 // Server is the DSE job service: a bounded FIFO queue drained by a fixed
@@ -142,17 +97,9 @@ type Server struct {
 	abort   context.CancelFunc // cancels all running jobs (forced shutdown)
 	metrics *Metrics
 	wg      sync.WaitGroup
-
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string // submission order, for listing
-	// activeByHash indexes queued and running jobs by spec hash for the
-	// in-flight dedup. An entry may briefly outlive its job's terminal
-	// transition, so readers check the state.
-	activeByHash map[string]*job
-	cache        *lruCache
-	draining     bool
-	nextID       int64
+	jobs    *JobTable[*job]
+	// draining is guarded by jobs' lock: once set, nothing more is queued.
+	draining bool
 }
 
 // New starts a job service with cfg's queue, worker-pool and cache sizes.
@@ -160,13 +107,11 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, abort := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:          cfg,
-		baseCtx:      ctx,
-		abort:        abort,
-		metrics:      newMetrics(),
-		jobs:         make(map[string]*job),
-		activeByHash: make(map[string]*job),
-		cache:        newLRUCache(cfg.CacheCap),
+		cfg:     cfg,
+		baseCtx: ctx,
+		abort:   abort,
+		metrics: newMetrics(),
+		jobs:    NewJobTable[*job]("j", cfg.CacheCap),
 	}
 	// Recovery pass: replay the store before serving, and size the queue so
 	// the whole recovered backlog fits alongside a full queue of new work.
@@ -185,7 +130,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/wait", s.handleWait)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /healthz", Healthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.IslandHub != nil {
 		s.mux.Handle("POST /v1/island/exchange", cfg.IslandHub)
@@ -202,7 +147,7 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.AuthToken != "" && r.URL.Path != "/healthz" {
 		if !CheckBearer(r, s.cfg.AuthToken) {
-			httpError(w, http.StatusUnauthorized, "missing or invalid bearer token")
+			HTTPError(w, http.StatusUnauthorized, "missing or invalid bearer token")
 			return
 		}
 	}
@@ -226,21 +171,23 @@ func CheckBearer(r *http.Request, token string) bool {
 // expires, at which point their contexts are cancelled (each GA then stops
 // within one generation) and Shutdown waits for them to unwind.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		for _, id := range s.order {
-			j := s.jobs[id]
-			j.mu.Lock()
-			if j.state == StateQueued {
-				s.finishLocked(j, StateCancelled, "service shutting down")
-				delete(s.activeByHash, j.hash)
+	s.jobs.Lock()
+	first := !s.draining
+	s.draining = true
+	s.jobs.Unlock()
+	if first {
+		for _, j := range s.jobs.List() {
+			j.Lock()
+			cancelled := j.State == StateQueued && j.FinishLocked(StateCancelled, "service shutting down", nil)
+			j.Unlock()
+			if cancelled {
+				s.jobs.Retire(j)
 			}
-			j.mu.Unlock()
 		}
+		// Submissions check draining before they enqueue, so nothing
+		// sends on the queue any more.
 		close(s.queue)
 	}
-	s.mu.Unlock()
 
 	drained := make(chan struct{})
 	go func() {
@@ -267,24 +214,24 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued
-		j.mu.Unlock()
+	j.Lock()
+	inst, flib := j.inst, j.flib
+	j.inst, j.flib = nil, nil
+	if j.State != StateQueued { // cancelled while queued
+		j.Unlock()
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	j.state = StateRunning
+	j.State = StateRunning
 	j.cancel = cancel
-	j.started = time.Now()
-	inst, flib := j.inst, j.flib
-	j.inst, j.flib = nil, nil
-	j.mu.Unlock()
+	j.Started = time.Now()
+	j.Unlock()
 	defer cancel()
 
-	total := j.spec.TotalGenerations()
+	total := j.Spec.TotalGenerations()
 	hooks := RunHooks{
 		Progress: func(e core.ProgressEvent) {
-			s.publishProgress(j, e, total)
+			j.Publish(ProgressToWire(e, total))
 		},
 		CheckpointEvery: s.cfg.CheckpointEvery,
 	}
@@ -292,129 +239,49 @@ func (s *Server) runJob(j *job) {
 		// The checkpointer also carries any snapshot a previous daemon
 		// incarnation saved for this spec, so a re-enqueued job resumes
 		// mid-evolution instead of restarting.
-		hooks.Checkpoint = newJobCheckpointer(s.cfg.Store, j.hash)
+		hooks.Checkpoint = newJobCheckpointer(s.cfg.Store, j.Hash)
 	}
 	var err error
 	if inst == nil {
 		// Recovered from the store: never admitted in this process.
-		inst, flib, err = Build(&j.spec)
+		inst, flib, err = Build(&j.Spec)
 	}
 	var front *core.Front
 	if err == nil {
-		front, err = ExecuteOnHooks(ctx, inst, flib, &j.spec, hooks)
+		front, err = ExecuteOnHooks(ctx, inst, flib, &j.Spec, hooks)
 	}
 
-	j.mu.Lock()
+	j.Lock()
 	j.cancel = nil
 	aborted := false
 	switch {
 	case ctx.Err() != nil:
-		s.finishLocked(j, StateCancelled, "cancelled")
+		j.FinishLocked(StateCancelled, "cancelled", nil)
 		// A forced-shutdown abort is not a client decision: the job keeps
 		// its pending store record (plus the final cancellation checkpoint
 		// the GA just wrote), so the next incarnation re-enqueues and
 		// resumes it. A client DELETE is terminal and is journaled.
 		aborted = s.baseCtx.Err() != nil
 	case err != nil:
-		s.finishLocked(j, StateFailed, err.Error())
+		j.FinishLocked(StateFailed, err.Error(), nil)
 	default:
-		j.front = FrontToWire(front)
-		s.finishLocked(j, StateDone, "")
+		j.FinishLocked(StateDone, "", FrontToWire(front))
 	}
-	j.mu.Unlock()
-
-	s.mu.Lock()
-	if j.front != nil {
-		s.cache.Add(j.hash, j.front)
-	}
-	s.deactivateLocked(j)
-	s.mu.Unlock()
+	j.Unlock()
+	s.jobs.Retire(j)
 	if !aborted {
 		s.persistFinish(j)
 	}
-	s.metrics.observeLatency(j.spec.Method, time.Since(j.started))
-}
-
-// finishLocked moves a job (whose mu the caller holds) to a terminal state.
-func (s *Server) finishLocked(j *job, state, errMsg string) {
-	j.state = state
-	if state != StateDone {
-		j.errMsg = errMsg
-	}
-	j.inst, j.flib = nil, nil
-	j.finished = time.Now()
-	close(j.done)
-}
-
-// deactivateLocked drops a terminal job from the in-flight index unless a
-// newer job for the same spec replaced it. The caller holds s.mu.
-func (s *Server) deactivateLocked(j *job) {
-	if s.activeByHash[j.hash] == j {
-		delete(s.activeByHash, j.hash)
-	}
-}
-
-// activeLocked returns the queued or running job for a spec hash, if any.
-// The caller holds s.mu.
-func (s *Server) activeLocked(hash string) *job {
-	j := s.activeByHash[hash]
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued && j.state != StateRunning {
-		return nil
-	}
-	return j
-}
-
-// publishProgress records the latest generation report and fans it out to
-// SSE subscribers. Slow subscribers drop events rather than stall the GA.
-func (s *Server) publishProgress(j *job, e core.ProgressEvent, total int) {
-	p := ProgressWire{
-		Stage:            e.Stage,
-		Generation:       e.Generation,
-		Generations:      e.Generations,
-		TotalGenerations: total,
-		Evaluations:      e.Evaluations,
-		ArchiveSize:      e.ArchiveSize,
-	}
-	j.mu.Lock()
-	j.progress = &p
-	for sub := range j.subs {
-		select {
-		case sub <- p:
-		default:
-		}
-	}
-	j.mu.Unlock()
+	s.metrics.observeLatency(j.Spec.Method, time.Since(j.Started))
 }
 
 // ---- HTTP handlers ----
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.MaxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("job spec exceeds %d-byte limit", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
+	spec, hash, ok := DecodeSpec(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	if err := spec.Normalize(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	hash := spec.Hash()
 
 	// Two passes: the first answers attaches and cache hits, which build
 	// nothing (their spec already built once, and Build is deterministic);
@@ -423,10 +290,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var inst *core.Instance
 	var flib *tdse.Library
 	for {
-		s.mu.Lock()
+		s.jobs.Lock()
 		if s.draining {
-			s.mu.Unlock()
-			httpError(w, http.StatusServiceUnavailable, "service shutting down")
+			s.jobs.Unlock()
+			HTTPError(w, http.StatusServiceUnavailable, "service shutting down")
 			return
 		}
 		if inst == nil {
@@ -435,273 +302,132 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// In-flight dedupe: a spec identical to one already queued or
 		// running is the same deterministic computation, so the second
 		// client attaches to the first job instead of doubling the work.
-		if dup := s.activeLocked(hash); dup != nil {
+		if dup, ok := s.jobs.ActiveLocked(hash); ok {
 			s.metrics.incDeduped()
-			s.mu.Unlock()
-			writeJSON(w, http.StatusAccepted, dup.wire(false))
+			s.jobs.Unlock()
+			WriteJSON(w, http.StatusAccepted, dup.Wire(false))
 			return
 		}
-		if front, ok := s.cache.Get(hash); ok {
-			s.serveCachedLocked(w, spec, hash, front)
+		if front, ok := s.jobs.CachedLocked(hash); ok {
+			s.metrics.incCacheHit()
+			j := &job{Job: s.jobs.NewJobLocked(spec, hash)}
+			s.jobs.AnswerCachedLocked(w, s.cfg.Store, j, front, j.stored())
 			return
 		}
 		if inst != nil {
-			break // s.mu stays held for the enqueue below
+			break // the table lock stays held for the enqueue below
 		}
-		s.mu.Unlock()
+		s.jobs.Unlock()
 		// Materialize the instance up front so malformed specs (e.g. bad
 		// inline graphs) fail fast with 400 instead of failing the job
 		// later; the worker then runs on this build.
 		var err error
 		if inst, flib, err = Build(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			HTTPError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
 	s.metrics.incCacheMiss()
-	j := s.newJobLocked(spec, hash)
-	j.state = StateQueued
-	j.inst, j.flib = inst, flib
-	// Holding j.mu across enqueue + journaling keeps a fast worker from
-	// finishing the job before its accept record is durable (runJob's first
-	// act is taking j.mu).
-	j.mu.Lock()
-	select {
-	case s.queue <- j:
-	default:
-		j.mu.Unlock()
-		s.nextID--
+	// Only submissions send on the queue, under the table lock, so a free
+	// slot seen here is still free at the send.
+	if len(s.queue) == cap(s.queue) {
 		s.metrics.incRejected()
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable,
+		s.jobs.Unlock()
+		HTTPError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueCap))
 		return
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.activeByHash[hash] = j
-	s.mu.Unlock()
+	j := &job{Job: s.jobs.NewJobLocked(spec, hash), inst: inst, flib: flib}
+	j.State = StateQueued
+	// Holding j's lock across enqueue + journaling keeps a fast worker from
+	// finishing the job before its accept record is durable (runJob's first
+	// act is taking it).
+	j.Lock()
+	s.queue <- j
+	s.jobs.AddActiveLocked(j)
+	s.jobs.Unlock()
 	if st := s.cfg.Store; st != nil {
 		// Journal the accepted spec before acknowledging: once the client
 		// sees 202, the job survives a crash. A store failure fails the
 		// job up front rather than acknowledging work that could vanish.
-		spec, err := json.Marshal(&j.spec)
-		if err == nil {
-			err = st.AcceptJob(j.id, hash, spec, j.submitted)
-		}
-		if err != nil {
-			s.finishLocked(j, StateFailed, "journaling job: "+err.Error())
-			j.mu.Unlock()
-			s.mu.Lock()
-			s.deactivateLocked(j)
-			s.mu.Unlock()
-			httpError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
+		if err := st.AcceptJob(j.ID, hash, j.stored(), j.Submitted); err != nil {
+			j.FinishLocked(StateFailed, "journaling job: "+err.Error(), nil)
+			j.Unlock()
+			s.jobs.Retire(j)
+			HTTPError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
 			return
 		}
 	}
-	j.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, j.wire(false))
+	j.Unlock()
+	WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
-// newJobLocked allocates the next job record; the caller holds s.mu.
-func (s *Server) newJobLocked(spec JobSpec, hash string) *job {
-	s.nextID++
-	return &job{
-		id:        fmt.Sprintf("j%06d", s.nextID),
-		spec:      spec,
-		hash:      hash,
-		subs:      make(map[chan ProgressWire]struct{}),
-		done:      make(chan struct{}),
-		submitted: time.Now(),
+// stored is the journaled form of the accepted spec.
+func (j *job) stored() []byte {
+	payload, _ := json.Marshal(&j.Spec)
+	return payload
+}
+
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
+	j, ok := s.jobs.Get(r.PathValue("id"))
+	if !ok {
+		HTTPError(w, http.StatusNotFound, "no such job")
 	}
-}
-
-// serveCachedLocked answers a submission from the result cache: same
-// canonical spec (incl. seed) → same deterministic front, served without
-// running. The caller holds s.mu; serveCachedLocked releases it.
-func (s *Server) serveCachedLocked(w http.ResponseWriter, spec JobSpec, hash string, front *FrontWire) {
-	s.metrics.incCacheHit()
-	j := s.newJobLocked(spec, hash)
-	j.state = StateDone
-	j.cached = true
-	j.front = front
-	j.finished = j.submitted
-	close(j.done)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	if st := s.cfg.Store; st != nil {
-		// Best-effort: the front itself is already durable under this
-		// hash; journaling the job record just keeps GET /v1/jobs/{id}
-		// answering across a restart.
-		if spec, err := json.Marshal(&j.spec); err == nil {
-			_ = st.AcceptJob(j.id, hash, spec, j.submitted)
-			_ = st.FinishJob(j.id, StateDone, hash, "", true, nil, j.finished)
-		}
-	}
-	writeJSON(w, http.StatusOK, j.wire(true))
-}
-
-func (s *Server) lookup(r *http.Request) (*job, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	return j, ok
+	return j
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
+	if j := s.lookup(w, r); j != nil {
+		WriteJSON(w, http.StatusOK, j.Wire(true))
 	}
-	writeJSON(w, http.StatusOK, j.wire(true))
 }
 
-// handleWait is the long-poll companion of handleGet: it blocks until the
-// job reaches a terminal state or the "timeout" query parameter (default
-// 30s, capped at 5m) elapses, then responds with the job's wire status.
-// Remote sweep coordinators use it to await cells without busy polling.
 func (s *Server) handleWait(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
+	if j := s.lookup(w, r); j != nil {
+		ServeWait(w, r, j.Job)
 	}
-	d := 30 * time.Second
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		parsed, err := time.ParseDuration(raw)
-		if err != nil || parsed <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", raw))
-			return
-		}
-		d = min(parsed, 5*time.Minute)
+}
+
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	if j := s.lookup(w, r); j != nil {
+		ServeEvents(w, r, j.Job)
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-j.done:
-	case <-timer.C:
-	case <-r.Context().Done():
-		return
-	}
-	writeJSON(w, http.StatusOK, j.wire(true))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*job, len(s.order))
-	for i, id := range s.order {
-		jobs[i] = s.jobs[id]
-	}
-	s.mu.Unlock()
+	jobs := s.jobs.List()
 	out := make([]*JobWire, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.wire(false)
+		out[i] = j.Wire(false)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
+	j := s.lookup(w, r)
+	if j == nil {
 		return
 	}
-	s.mu.Lock()
-	j.mu.Lock()
-	wasQueued := false
-	switch j.state {
+	j.Lock()
+	cancelled := false
+	switch j.State {
 	case StateQueued:
 		// The job stays in the queue channel; the worker skips it.
-		s.finishLocked(j, StateCancelled, "cancelled")
-		s.deactivateLocked(j)
-		wasQueued = true
+		cancelled = j.FinishLocked(StateCancelled, "cancelled", nil)
 	case StateRunning:
 		// The GA polls the context between generations, so the run stops
 		// within one generation; the worker then marks the job cancelled.
 		j.cancel()
 	}
-	j.mu.Unlock()
-	s.mu.Unlock()
-	if wasQueued {
+	j.Unlock()
+	if cancelled {
+		s.jobs.Retire(j)
 		// A client cancellation is a terminal decision: journal it (and
 		// drop any checkpoint) so a restart does not resurrect the job.
 		// Running jobs are journaled by the worker once the GA unwinds.
 		s.persistFinish(j)
 	}
-	writeJSON(w, http.StatusAccepted, j.wire(false))
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	// Coalescing buffer: the GA never blocks on a slow consumer; a full
-	// buffer drops intermediate generations, the terminal event always
-	// carries the final state.
-	sub := make(chan ProgressWire, 16)
-	j.mu.Lock()
-	j.subs[sub] = struct{}{}
-	j.mu.Unlock()
-	defer func() {
-		j.mu.Lock()
-		delete(j.subs, sub)
-		j.mu.Unlock()
-	}()
-
-	// Replay the latest generation snapshot so a subscriber that joins
-	// late — or after a fast job already finished — still observes
-	// progress. Duplicates are harmless: progress events are snapshots.
-	j.mu.Lock()
-	last := j.progress
-	j.mu.Unlock()
-
-	writeSSE(w, "status", j.wire(false))
-	if last != nil {
-		writeSSE(w, "progress", *last)
-	}
-	flusher.Flush()
-	for {
-		select {
-		case p := <-sub:
-			writeSSE(w, "progress", p)
-			flusher.Flush()
-		case <-j.done:
-			// Drain progress that raced with completion, then emit the
-			// terminal event named after the final state.
-			for {
-				select {
-				case p := <-sub:
-					writeSSE(w, "progress", p)
-				default:
-					final := j.wire(true)
-					writeSSE(w, final.State, final)
-					flusher.Flush()
-					return
-				}
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
+	WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -719,70 +445,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		PairedSolves:     at.PairedSolves,
 		SoloSolves:       at.SoloSolves,
 	}
-	st := core.SelectionTotals()
-	m.Selection = SelectionWire{SortNanos: st.SortNanos, ArchiveNanos: st.ArchiveNanos}
+	m.Selection, m.Convergence = SelectionCounters()
 	fm := faultmodel.Totals()
 	m.FaultModel = FaultModelWire{
 		Evals:              fm.Evals,
 		PermChains:         fm.PermChains,
 		CheckpointPolicies: fm.CheckpointPolicies,
 	}
-	m.Convergence = ConvergenceWire{
-		GenerationsRun:    st.GenerationsRun,
-		GenerationsBudget: st.GenerationsBudget,
-		GenerationsSaved:  st.GenerationsSaved,
-		PlateauStops:      st.PlateauStops,
-		LastHypervolume:   st.LastHypervolume,
-	}
 	if st := s.cfg.Store; st != nil {
 		sw := StoreWire(st.Stats())
 		m.Store = &sw
 	}
-	s.mu.Lock()
-	m.Cache.Size = s.cache.Len()
+	m.Cache.Size = s.jobs.CacheLen()
 	m.Cache.Capacity = s.cfg.CacheCap
-	jobs := make([]*job, len(s.order))
-	for i, id := range s.order {
-		jobs[i] = s.jobs[id]
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			m.Jobs.Queued++
-		case StateRunning:
-			m.Jobs.Running++
-		case StateDone:
-			m.Jobs.Done++
-		case StateFailed:
-			m.Jobs.Failed++
-		case StateCancelled:
-			m.Jobs.Cancelled++
+	count := map[string]*int64{StateQueued: &m.Jobs.Queued, StateRunning: &m.Jobs.Running,
+		StateDone: &m.Jobs.Done, StateFailed: &m.Jobs.Failed, StateCancelled: &m.Jobs.Cancelled}
+	for _, j := range s.jobs.List() {
+		j.Lock()
+		if c := count[j.State]; c != nil {
+			*c++
 		}
-		j.mu.Unlock()
+		j.Unlock()
 	}
-	writeJSON(w, http.StatusOK, m)
-}
-
-// ---- helpers ----
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeSSE(w http.ResponseWriter, event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		data = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	WriteJSON(w, http.StatusOK, m)
 }

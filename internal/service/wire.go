@@ -95,6 +95,19 @@ type ProgressWire struct {
 	ArchiveSize int `json:"archive_size"`
 }
 
+// ProgressToWire converts an engine progress event; total is the whole
+// job's generation budget across stages.
+func ProgressToWire(e core.ProgressEvent, total int) ProgressWire {
+	return ProgressWire{
+		Stage:            e.Stage,
+		Generation:       e.Generation,
+		Generations:      e.Generations,
+		TotalGenerations: total,
+		Evaluations:      e.Evaluations,
+		ArchiveSize:      e.ArchiveSize,
+	}
+}
+
 // Job states as reported on the wire.
 const (
 	StateQueued    = "queued"
