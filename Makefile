@@ -15,9 +15,9 @@ vet:
 # Race-check the concurrency-bearing packages: the sweep executor, the
 # shared metrics cache in core, the GA evaluate workers in moea, the
 # job-queue service, the durable store, the distributed sweep coordinator,
-# the fleet gateway, and the batched chain-solve path
-# (relmodel/markov/matrix) plus the HEFT bound shared by the surrogate
-# proxy and the fault-model evaluation counters read by /metrics.
+# the fleet gateway, the HEFT seeding heuristic, the paired chain-solve path
+# (relmodel/markov/matrix) and the fault-model evaluation counters read by
+# /metrics.
 race:
 	$(GO) vet ./... && $(GO) test -race ./internal/sweep ./internal/core ./internal/moea ./internal/service ./internal/store ./internal/dist ./internal/gateway ./internal/heft ./internal/relmodel ./internal/markov ./internal/matrix ./internal/faultmodel
 

@@ -83,10 +83,9 @@ func run(args []string, w io.Writer) error {
 	// mid-experiment.
 	defer func() {
 		a := core.AccelTotals()
-		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.ProxyEvals+a.PairedSolves+a.SoloSolves > 0 {
-			fmt.Fprintf(os.Stderr, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused, %d batch-warmed; surrogate %d proxied / %d screened out; chain solves %d paired / %d solo\n",
-				a.DeltaParentReuse, a.DeltaPrefixRuns, a.DeltaFullRuns, a.MetricsReused, a.BatchWarmed,
-				a.ProxyEvals, a.ScreenedOut, a.PairedSolves, a.SoloSolves)
+		if a.DeltaParentReuse+a.DeltaPrefixRuns+a.DeltaFullRuns+a.PairedSolves+a.SoloSolves > 0 {
+			fmt.Fprintf(os.Stderr, "eval accel: delta %d reused / %d prefix / %d full, %d metrics reused; chain solves %d paired / %d solo\n",
+				a.DeltaParentReuse, a.DeltaPrefixRuns, a.DeltaFullRuns, a.MetricsReused, a.PairedSolves, a.SoloSolves)
 		}
 		s := core.SelectionTotals()
 		if s.GenerationsRun > 0 {

@@ -47,9 +47,6 @@ type fcProblem struct {
 	maxModes int
 	objs     []SystemObjective
 	cache    *metricsCache
-
-	proxy     proxyScratch
-	batchSeen map[metricsKey]struct{} // PrepareBatch dedup scratch (under proxy.mu)
 }
 
 func newFCProblem(inst *Instance, restrict layerRestriction) *fcProblem {
@@ -241,8 +238,6 @@ type pfProblem struct {
 	flib   *tdse.Library
 	compat [][]int
 	objs   []SystemObjective
-
-	proxy proxyScratch
 }
 
 func newPFProblem(inst *Instance, flib *tdse.Library) *pfProblem {

@@ -240,14 +240,10 @@ func (g *Gateway) Close() {
 func (g *Gateway) recover(st *store.Store) {
 	g.jobs.LoadResultsLocked(st)
 	for _, jr := range st.Jobs() {
+		// An envelope that does not decode leaves rec.Spec nil, and the
+		// job comes back failed.
 		var rec storedJob
-		if err := json.Unmarshal(jr.Spec, &rec); err != nil || rec.Spec == nil {
-			continue // journaled by a newer build; unusable but harmless
-		}
-		var spec service.JobSpec
-		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-			continue
-		}
+		_ = json.Unmarshal(jr.Spec, &rec)
 		t := g.byName[rec.Tenant]
 		if t == nil {
 			// The tenant table changed across the restart; the job still
@@ -255,8 +251,8 @@ func (g *Gateway) recover(st *store.Store) {
 			// accounting under the recovery tenant.
 			t = g.anon
 		}
-		j := &gwJob{Job: g.jobs.RestoreLocked(jr, spec), tenant: t, class: t.class}
-		if !jr.Pending() {
+		j := &gwJob{Job: g.jobs.RestoreLocked(st, jr, rec.Spec), tenant: t, class: t.class}
+		if j.State != service.StateQueued {
 			g.jobs.AddFinishedLocked(j)
 			continue
 		}

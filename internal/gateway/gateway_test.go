@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -342,6 +343,67 @@ func TestSharedResultCache(t *testing.T) {
 	w2, _ := json.Marshal(again.Front)
 	if !bytes.Equal(w1, w2) {
 		t.Fatalf("front changed across restart:\n got %s\nwant %s", w2, w1)
+	}
+}
+
+// TestRecoverFailsRemovedSpecFields: a pending job journaled with the
+// removed surrogate fields, beside a checkpoint holding a proxy-scored
+// member, comes back failed with an error naming the field and no front,
+// and the checkpoint is dropped; a pending legacy job resumes to done.
+func TestRecoverFailsRemovedSpecFields(t *testing.T) {
+	legacy := service.JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 3, Seed: 17}
+	if err := legacy.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := service.Execute(context.Background(), &legacy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyData, _ := json.Marshal(&legacy)
+	surData := append(bytes.TrimSuffix(legacyData, []byte("}")), `,"surrogate":true}`...)
+	const surHash = "5e1f5e1f5e1f5e1f"
+	approx := []byte(`{"stages":{"fcclr":{"generation":1,"population":[{"order":[0],"genes":[{}],"obj_bits":[0],"violation_bits":0,"approx":true}]}}}`)
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		id, hash string
+		spec     []byte
+	}{{"g000001", surHash, surData}, {"g000002", legacy.Hash(), legacyData}} {
+		env, _ := json.Marshal(storedJob{Tenant: "t1", Spec: r.spec})
+		if err := st.AcceptJob(r.id, r.hash, env, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.SaveCheckpoint(surHash, approx); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() })
+	_, ts := newTestGateway(t, Config{WorkerToken: "wtok", Store: st2, ProbeEvery: -1})
+	sur := getWire(t, ts, "key1", "/v1/jobs/g000001")
+	if sur.State != service.StateFailed || !strings.Contains(sur.Error, "surrogate") || sur.Front != nil {
+		t.Fatalf("surrogate job recovered as %s (%q), front %v; want failed naming surrogate", sur.State, sur.Error, sur.Front != nil)
+	}
+	if _, ok := st2.Checkpoint(surHash); ok {
+		t.Fatal("surrogate job kept its checkpoint")
+	}
+	startAgent(t, AgentConfig{Gateway: ts.URL, Token: "wtok", Name: "w0"})
+	done := waitDone(t, ts, "key1", "g000002", 30*time.Second)
+	got, _ := json.Marshal(done.Front)
+	ref, _ := json.Marshal(service.FrontToWire(want))
+	if !bytes.Equal(got, ref) {
+		t.Fatal("legacy job resumed to a different front")
 	}
 }
 

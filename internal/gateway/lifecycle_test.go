@@ -130,7 +130,8 @@ func eventNames(t *testing.T, ts *httptest.Server, id string) ([]string, rawJob)
 }
 
 // TestLifecycleContract pins the wire contract both servers share: status
-// codes of submit, bad /wait timeouts and unknown IDs; the SSE event order;
+// codes of submit, a spec with a removed field, bad /wait timeouts and
+// unknown IDs; the SSE event order;
 // byte-identical fronts across /events, /wait and a cached resubmission;
 // and the listing.
 func TestLifecycleContract(t *testing.T) {
@@ -149,6 +150,10 @@ func TestLifecycleContract(t *testing.T) {
 
 			if status, _ := call(t, ts, http.MethodGet, "/v1/jobs/"+first.ID+"/wait?timeout=bogus", nil); status != http.StatusBadRequest {
 				t.Fatalf("bad timeout = %d, want 400", status)
+			}
+			removed := []byte(`{"surrogate":true,"surrogate_fraction":0.6}`)
+			if status, raw := call(t, ts, http.MethodPost, "/v1/jobs", removed); status != http.StatusBadRequest || !bytes.Contains(raw, []byte("surrogate")) {
+				t.Fatalf("spec with a removed field = %d %s, want 400 naming it", status, raw)
 			}
 			for _, r := range []struct{ method, path string }{
 				{http.MethodGet, "/v1/jobs/nope"},

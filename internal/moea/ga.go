@@ -72,9 +72,6 @@ type Params struct {
 	// bit-identical either way — so this switch exists for measurement and
 	// as an escape hatch, not for correctness.
 	DisableDelta bool
-	// Surrogate configures surrogate screening (NSGA-II engine only; the
-	// problem must implement SurrogateProblem).
-	Surrogate SurrogateParams
 	// Migration, when non-nil, makes this run one island of an
 	// island-model search (NSGA-II engine only): every Migration.Every
 	// generations the run exchanges elite migrants with its ring
@@ -169,9 +166,6 @@ func (p Params) Validate() error {
 	if p.TournamentK < 1 {
 		return fmt.Errorf("moea: tournament size %d must be ≥ 1", p.TournamentK)
 	}
-	if err := p.Surrogate.validate(); err != nil {
-		return err
-	}
 	if err := p.Migration.validate(p.PopSize); err != nil {
 		return err
 	}
@@ -233,14 +227,6 @@ func Run(p Problem, params Params, seeds []*Genome) (*Result, error) {
 	rng := rand.New(src)
 
 	useDelta := !params.DisableDelta
-	var surrogate SurrogateProblem
-	if params.Surrogate.Enabled {
-		sp, ok := p.(SurrogateProblem)
-		if !ok {
-			return nil, fmt.Errorf("moea: surrogate screening enabled but problem offers no proxy evaluation")
-		}
-		surrogate = sp
-	}
 
 	if params.FixedOrder != nil {
 		if len(params.FixedOrder) != n {
@@ -404,33 +390,8 @@ func Run(p Problem, params Params, seeds []*Genome) (*Result, error) {
 				}
 			}
 		}
-		evalBatch := offspring
-		if surrogate != nil {
-			// Surrogate screening: rank the whole brood by the cheap proxy,
-			// pay for full evaluations only on the most promising quota. The
-			// rest keep proxy scores — enough for selection pressure, never
-			// admitted to the archive.
-			for _, s := range offspring {
-				s.eval = surrogate.ProxyEvaluate(s.genome)
-				s.approx = true
-			}
-			surrogateTotals.proxy.Add(uint64(len(offspring)))
-			evalBatch = screenTop(sc, offspring, surrogateQuota(params))
-			surrogateTotals.screened.Add(uint64(len(offspring) - len(evalBatch)))
-			for _, s := range evalBatch {
-				s.approx = false
-			}
-		}
-		evaluate(p, evalBatch, params.Workers, useDelta)
-		if surrogate != nil {
-			// Screened-out offspring still hold parent links (evaluate only
-			// clears the ones it saw); drop them so retired generations are
-			// not retained through approx survivors.
-			for _, s := range offspring {
-				s.parent = nil
-			}
-		}
-		res.Evaluations += len(evalBatch)
+		evaluate(p, offspring, params.Workers, useDelta)
+		res.Evaluations += len(offspring)
 		arch.add(offspring)
 
 		// Environmental selection over parents ∪ offspring.
@@ -466,26 +427,6 @@ func Run(p Problem, params Params, seeds []*Genome) (*Result, error) {
 		}
 	}
 	res.GenerationsRun = doneGen
-
-	if surrogate != nil {
-		// Exactness-preserving final pass: any population member still
-		// carrying a proxy score is fully evaluated before the front is
-		// reported, so the archive only ever holds exact evaluations.
-		var approx []*solution
-		for _, s := range pop {
-			if s.approx {
-				approx = append(approx, s)
-			}
-		}
-		if len(approx) > 0 {
-			evaluate(p, approx, params.Workers, useDelta)
-			for _, s := range approx {
-				s.approx = false
-			}
-			res.Evaluations += len(approx)
-			arch.add(approx)
-		}
-	}
 
 	for _, s := range arch.members {
 		res.Front = append(res.Front, Solution{
@@ -525,16 +466,6 @@ func tournament(rng *rand.Rand, pop []*solution, k int) *solution {
 func evaluate(p Problem, sols []*solution, workers int, useDelta bool) {
 	if len(sols) == 0 {
 		return
-	}
-	if bp, ok := p.(BatchProblem); ok {
-		items := make([]BatchItem, len(sols))
-		for i, s := range sols {
-			items[i] = BatchItem{Genome: s.genome}
-			if s.parent != nil {
-				items[i].Parent = s.parent.genome
-			}
-		}
-		bp.PrepareBatch(items)
 	}
 	if workers <= 0 {
 		want := runtime.GOMAXPROCS(0)

@@ -127,34 +127,6 @@ type DeltaEvaluator interface {
 	EvaluateDelta(g *Genome, parent *Genome, parentState any) (Evaluation, any)
 }
 
-// BatchItem is one genome of an upcoming evaluation batch, paired with the
-// parent it was derived from (nil for initial-population members).
-type BatchItem struct {
-	Genome *Genome
-	Parent *Genome
-}
-
-// BatchProblem is a Problem that wants to see a whole generation's
-// offspring before evaluation starts — e.g. to warm shared caches for the
-// batch in one pass instead of faulting entries in from several workers.
-// PrepareBatch runs on the engine goroutine and must not change any
-// evaluation result.
-type BatchProblem interface {
-	Problem
-	PrepareBatch(items []BatchItem)
-}
-
-// SurrogateProblem is a Problem that offers a cheap proxy evaluation for
-// surrogate screening: ProxyEvaluate ranks offspring approximately so that
-// only the most promising fraction pays for a full evaluation. Proxy
-// results never enter fronts or archives — the engine re-evaluates
-// surviving genomes exactly before reporting them. ProxyEvaluate is called
-// from the engine goroutine only and may use shared scratch.
-type SurrogateProblem interface {
-	Problem
-	ProxyEvaluate(g *Genome) Evaluation
-}
-
 // RandomGenome draws a uniformly random individual for the problem.
 func RandomGenome(rng *rand.Rand, p Problem) *Genome {
 	n := p.NumTasks()

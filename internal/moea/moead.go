@@ -27,9 +27,6 @@ func RunMOEAD(p Problem, params Params, seeds []*Genome) (*Result, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("moea: MOEA/D needs ≥ 2 objectives, problem has %d", m)
 	}
-	if params.Surrogate.Enabled {
-		return nil, fmt.Errorf("moea: surrogate screening requires the NSGA-II engine")
-	}
 	if params.Migration != nil {
 		return nil, fmt.Errorf("moea: island migration requires the NSGA-II engine")
 	}

@@ -91,19 +91,16 @@ func (jc *jobCheckpointer) persistLocked() {
 // recover rebuilds the server's state from the store before it begins
 // serving: terminal jobs reappear with their recorded states, done fronts
 // repopulate the result cache, and jobs that were accepted but never
-// finished come back as the queued backlog (returned in acceptance order
-// for re-enqueueing). Called from New before the workers start, so no
+// finished come back as the queued backlog, returned in acceptance order
+// for re-enqueueing (or failed, when their spec no longer parses; see
+// JobTable.RestoreLocked). Called from New before the workers start, so no
 // locking is needed.
 func (s *Server) recover(st *store.Store) []*job {
 	s.jobs.LoadResultsLocked(st)
 	var pending []*job
 	for _, jr := range st.Jobs() {
-		var spec JobSpec
-		if err := json.Unmarshal(jr.Spec, &spec); err != nil {
-			continue // journaled by a newer build; unusable but harmless
-		}
-		j := &job{Job: s.jobs.RestoreLocked(jr, spec)}
-		if jr.Pending() {
+		j := &job{Job: s.jobs.RestoreLocked(st, jr, jr.Spec)}
+		if j.State == StateQueued {
 			s.jobs.AddActiveLocked(j)
 			pending = append(pending, j)
 		} else {

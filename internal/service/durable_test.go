@@ -1,12 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -302,5 +309,147 @@ func TestMetricsIncludeStoreGauges(t *testing.T) {
 	}
 	if m.Store.Appends == 0 || m.Store.Jobs != 1 {
 		t.Fatalf("store gauges = %+v", m.Store)
+	}
+}
+
+// legacySpec is the job of testdata/legacy_proposed_checkpoint.json: a
+// proposed sobel run interrupted at fcCLR generation 5 (its pfCLR front
+// complete) and checkpointed by a build that still carried surrogate
+// screening and its checkpoint field. legacyHash is that build's hash of it.
+func legacySpec() JobSpec {
+	return JobSpec{App: "sobel", Method: "proposed", Pop: 16, Gens: 12, Seed: 5}
+}
+
+const legacyHash = "c91137b34e9a0743"
+
+func legacyCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "legacy_proposed_checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestLegacyCheckpointResumesByteIdentical checks a checkpoint written by
+// an older build still decodes and resumes mid-fcCLR to the front of an
+// uninterrupted run, byte for byte.
+func TestLegacyCheckpointResumesByteIdentical(t *testing.T) {
+	spec := legacySpec()
+	want := referenceFront(t, spec)
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if h := spec.Hash(); h != legacyHash {
+		t.Fatalf("legacy spec hashes to %s, want %s", h, legacyHash)
+	}
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	if err := st.SaveCheckpoint(legacyHash, legacyCheckpoint(t)); err != nil {
+		t.Fatal(err)
+	}
+	jc := newJobCheckpointer(st, legacyHash)
+	if jc.ResumeFront("pfclr") == nil || jc.ResumeStage("fcclr") == nil {
+		t.Fatal("legacy checkpoint did not decode to a pfCLR front and an fcCLR snapshot")
+	}
+	inst, flib, err := Build(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfEvents, firstFC := 0, -1
+	front, err := ExecuteOnHooks(context.Background(), inst, flib, &spec, RunHooks{
+		Checkpoint:      jc,
+		CheckpointEvery: 2,
+		Progress: func(ev core.ProgressEvent) {
+			switch {
+			case ev.Stage == "pfclr":
+				pfEvents++
+			case ev.Stage == "fcclr" && firstFC < 0:
+				firstFC = ev.Generation
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pfEvents != 0 || firstFC != 5 {
+		t.Fatalf("run did not resume: %d pfCLR events, first fcCLR generation %d", pfEvents, firstFC)
+	}
+	if got := marshalWireFront(t, FrontToWire(front)); string(got) != string(want) {
+		t.Fatal("front resumed from the legacy checkpoint differs from an uninterrupted run")
+	}
+}
+
+// TestRecoverFailsRemovedSpecFields: a pending job journaled with the
+// removed surrogate fields, whose checkpoint holds a proxy-scored member,
+// comes back failed with an error naming the field and no front, and its
+// checkpoint is dropped; a pending legacy job beside it resumes to done.
+func TestRecoverFailsRemovedSpecFields(t *testing.T) {
+	legacy := legacySpec()
+	want := referenceFront(t, legacy)
+	if err := legacy.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	legacyData, err := json.Marshal(&legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The surrogate job as the older build journaled it: its normalized
+	// spec, hashed the way JobSpec.Hash did.
+	surData := append(bytes.TrimSuffix(legacyData, []byte("}")), `,"surrogate":true,"surrogate_fraction":0.5}`...)
+	sum := sha256.Sum256(surData)
+	surHash := hex.EncodeToString(sum[:8])
+	blob := legacyCheckpoint(t)
+	approxBlob := bytes.Replace(blob, []byte(`"violation_bits":0}`), []byte(`"violation_bits":0,"approx":true}`), 1)
+
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	now := time.Now()
+	for _, r := range []struct {
+		id, hash   string
+		spec, ckpt []byte
+	}{
+		{"j000001", surHash, surData, approxBlob},
+		{"j000002", legacyHash, legacyData, blob},
+	} {
+		if err := st.AcceptJob(r.id, r.hash, r.spec, now); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SaveCheckpoint(r.hash, r.ckpt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openTestStore(t, dir)
+	s := New(Config{Workers: 1, Store: st2})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		ts.Close()
+		st2.Close()
+	})
+	sur := getJob(t, ts, "j000001")
+	if sur.State != StateFailed || !strings.Contains(sur.Error, "surrogate") || sur.Front != nil {
+		t.Fatalf("surrogate job recovered as %s (%q), front %v; want failed naming surrogate", sur.State, sur.Error, sur.Front != nil)
+	}
+	if _, ok := st2.Checkpoint(surHash); ok {
+		t.Fatal("surrogate job kept its checkpoint")
+	}
+	for _, jr := range st2.Jobs() {
+		if jr.ID == "j000001" && jr.Pending() {
+			t.Fatal("surrogate job's failure was not journaled")
+		}
+	}
+	done := waitFor(t, ts, "j000002", 60*time.Second, terminal)
+	if done.State != StateDone {
+		t.Fatalf("legacy job ended %s (%s)", done.State, done.Error)
+	}
+	if got := marshalWireFront(t, done.Front); string(got) != string(want) {
+		t.Fatal("legacy job resumed to a different front")
 	}
 }

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -11,16 +13,32 @@ import (
 // Request-path pieces of the job API that clrearlyd and the gateway share,
 // so both answer byte-for-byte alike.
 
+// ParseSpec decodes a job spec strictly (an unknown field, such as one a
+// later build removed, is an error naming it), normalizes it and hashes it.
+// Submissions and store recovery both parse through it, so a spec a server
+// would refuse at the door is never run from its journal either.
+func ParseSpec(data []byte) (JobSpec, string, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, "", fmt.Errorf("decoding job spec: %w", err)
+	}
+	if err := spec.Normalize(); err != nil {
+		return JobSpec{}, "", err
+	}
+	return spec, spec.Hash(), nil
+}
+
 // DecodeSpec reads a submitted job spec (its body capped at maxBytes when
-// positive), normalizes it and hashes it. A spec that does not decode or
+// positive) and parses it with ParseSpec. A spec that does not decode or
 // validate is answered here, with 413 or 400, and ok is false.
 func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (spec JobSpec, hash string, ok bool) {
 	if maxBytes > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			HTTPError(w, http.StatusRequestEntityTooLarge,
@@ -30,11 +48,11 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (spec Jo
 		HTTPError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
 		return spec, "", false
 	}
-	if err := spec.Normalize(); err != nil {
+	if spec, hash, err = ParseSpec(data); err != nil {
 		HTTPError(w, http.StatusBadRequest, err.Error())
 		return spec, "", false
 	}
-	return spec, spec.Hash(), true
+	return spec, hash, true
 }
 
 // ServeWait is the long-poll companion of GET /v1/jobs/{id}: it blocks

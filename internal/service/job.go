@@ -302,7 +302,8 @@ func (t *JobTable[J]) AnswerCachedLocked(w http.ResponseWriter, st *store.Store,
 }
 
 // LoadResultsLocked fills the LRU from the store's persistent results,
-// oldest first, so the newest end up most recently used.
+// oldest first, so the newest end up most recently used, and moves ID
+// allocation past the newest ID the store has issued.
 func (t *JobTable[J]) LoadResultsLocked(st *store.Store) {
 	for _, r := range st.Results() {
 		var fw FrontWire
@@ -310,24 +311,47 @@ func (t *JobTable[J]) LoadResultsLocked(st *store.Store) {
 			t.fronts.Add(r.Hash, &fw)
 		}
 	}
+	t.noteIDLocked(st.LastAccepted())
 }
 
-// RestoreLocked rebuilds a job from its store record under its old ID: a
-// pending record comes back queued, for AddActiveLocked; a terminal one with
-// its outcome (and the LRU's front, if any), for AddFinishedLocked.
-func (t *JobTable[J]) RestoreLocked(jr *store.JobRecord, spec JobSpec) *Job {
-	j := newJob(jr.ID, spec, jr.Hash, jr.Submitted)
+// noteIDLocked keeps ID allocation past an ID issued earlier.
+func (t *JobTable[J]) noteIDLocked(id string) {
 	var n int64
-	if _, err := fmt.Sscanf(jr.ID, t.prefix+"%d", &n); err == nil && n > t.nextID {
+	if _, err := fmt.Sscanf(id, t.prefix+"%d", &n); err == nil && n > t.nextID {
 		t.nextID = n
 	}
-	if jr.Pending() {
+}
+
+// RestoreLocked rebuilds a job from its store record under its old ID; data
+// is the spec the record was accepted with. A pending record comes back
+// queued, for AddActiveLocked; a terminal one with its outcome (and the
+// LRU's front, if any), for AddFinishedLocked. A record whose spec no
+// longer parses, or now hashes differently, comes back failed with that
+// error: running it would resume a checkpoint computed for another spec.
+// A pending one is journaled failed and its checkpoint dropped.
+func (t *JobTable[J]) RestoreLocked(st *store.Store, jr *store.JobRecord, data []byte) *Job {
+	spec, hash, err := ParseSpec(data)
+	if err == nil && hash != jr.Hash {
+		err = fmt.Errorf("service: stored spec now hashes to %s", hash)
+	}
+	j := newJob(jr.ID, spec, jr.Hash, jr.Submitted)
+	t.noteIDLocked(jr.ID)
+	switch {
+	case err != nil:
+		j.State, j.ErrMsg, j.Finished = StateFailed, "recovering job: "+err.Error(), jr.Finished
+		if jr.Pending() {
+			j.Finished = time.Now()
+			JournalFinish(st, j)
+			_ = st.ClearCheckpoint(jr.Hash)
+		}
+	case jr.Pending():
 		j.State = StateQueued
 		return j
-	}
-	j.State, j.Cached, j.ErrMsg, j.Finished = jr.State, jr.Cached, jr.Error, jr.Finished
-	if jr.State == StateDone {
-		j.Front, _ = t.fronts.Get(jr.Hash)
+	default:
+		j.State, j.Cached, j.ErrMsg, j.Finished = jr.State, jr.Cached, jr.Error, jr.Finished
+		if jr.State == StateDone {
+			j.Front, _ = t.fronts.Get(jr.Hash)
+		}
 	}
 	close(j.done)
 	return j

@@ -439,9 +439,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		DeltaPrefixRuns:  at.DeltaPrefixRuns,
 		DeltaFullRuns:    at.DeltaFullRuns,
 		MetricsReused:    at.MetricsReused,
-		BatchWarmed:      at.BatchWarmed,
-		ProxyEvals:       at.ProxyEvals,
-		ScreenedOut:      at.ScreenedOut,
 		PairedSolves:     at.PairedSolves,
 		SoloSolves:       at.SoloSolves,
 	}

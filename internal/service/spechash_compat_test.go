@@ -3,9 +3,12 @@ package service
 import (
 	"encoding/json"
 	"flag"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -27,7 +30,6 @@ var specHashCorpus = map[string]string{
 	"layer_dvfs":     `{"method":"layer-dvfs","seed":9}`,
 	"constraints":    `{"constraints":{"max_makespan_us":500000,"min_functional_rel":0.9}}`,
 	"islands":        `{"islands":4,"migration_every":3,"migrants":2,"pop":32}`,
-	"surrogate":      `{"surrogate":true,"surrogate_fraction":0.6}`,
 	"converge":       `{"converge":true,"converge_window":5,"converge_eps":0.0001}`,
 	"graph_text":     `{"graph_text":"@TASK_GRAPH g {\n  PERIOD 1000\n  TASK t0 TYPE 0\n  TASK t1 TYPE 1\n  ARC a0 FROM t0 TO t1\n}\n","seed":4}`,
 	"no_delta":       `{"no_delta":true,"engine":"nsga2","app":"sobel"}`,
@@ -109,6 +111,25 @@ func TestSpecHashBackwardCompat(t *testing.T) {
 		got := normalizeCorpusSpec(t, name, specHashCorpus[name]).Hash()
 		if got != want.Hash {
 			t.Errorf("%s: hash %s, want pinned %s — legacy result-cache keys changed", name, got, want.Hash)
+		}
+	}
+}
+
+// TestSpecRemovedFieldsRejected checks a spec that still asks for the
+// removed surrogate screening gets a 400 that names the field, rather than
+// running without it under a hash its submitter did not ask for.
+func TestSpecRemovedFieldsRejected(t *testing.T) {
+	for _, raw := range []string{
+		`{"surrogate":true,"surrogate_fraction":0.6}`,
+		`{"surrogate_fraction":0.5}`,
+	} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(raw))
+		if _, _, ok := DecodeSpec(rec, req, 0); ok {
+			t.Fatalf("%s: accepted", raw)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "surrogate") {
+			t.Fatalf("%s: %d %s, want 400 naming the field", raw, rec.Code, rec.Body)
 		}
 	}
 }

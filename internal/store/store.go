@@ -82,6 +82,11 @@ type snapshotState struct {
 	Jobs        []*JobRecord  `json:"jobs"`
 	Results     []ResultEntry `json:"results"`
 	Checkpoints []ResultEntry `json:"checkpoints"` // same shape: hash → payload
+	// Finished lists the terminal job IDs oldest-finished first, and
+	// LastAccepted is the newest accepted job ID even if its record was
+	// trimmed. Snapshots written without them fall back to acceptance order.
+	Finished     []string `json:"finished,omitempty"`
+	LastAccepted string   `json:"last_accepted,omitempty"`
 }
 
 // Stats are the store gauges surfaced in /metrics.
@@ -107,11 +112,13 @@ type Store struct {
 	opt Options
 	wal *WAL
 
-	jobs        map[string]*JobRecord
-	order       []string // acceptance order
-	results     map[string]json.RawMessage
-	resultOrder []string // insertion order, oldest first
-	checkpoints map[string]json.RawMessage
+	jobs         map[string]*JobRecord
+	order        []string // acceptance order; may hold trimmed IDs
+	finished     []string // terminal IDs, oldest finished first
+	lastAccepted string
+	results      map[string]json.RawMessage
+	resultOrder  []string // insertion order, oldest first
+	checkpoints  map[string]json.RawMessage
 
 	compactions int64
 }
@@ -168,6 +175,16 @@ func (s *Store) loadSnapshot() error {
 	for _, j := range snap.Jobs {
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
+		if snap.Finished == nil && !j.Pending() {
+			s.finished = append(s.finished, j.ID)
+		}
+	}
+	if snap.Finished != nil {
+		s.finished = snap.Finished
+	}
+	s.lastAccepted = snap.LastAccepted
+	if s.lastAccepted == "" && len(s.order) > 0 {
+		s.lastAccepted = s.order[len(s.order)-1]
 	}
 	for _, r := range snap.Results {
 		s.results[r.Hash] = r.Payload
@@ -194,10 +211,14 @@ func (s *Store) apply(rec *record) {
 			Submitted: rec.Time,
 		}
 		s.order = append(s.order, rec.ID)
+		s.lastAccepted = rec.ID
 	case "finish":
 		j, ok := s.jobs[rec.ID]
 		if !ok {
 			return // job record already trimmed
+		}
+		if j.Pending() {
+			s.finished = append(s.finished, rec.ID)
 		}
 		j.State = rec.State
 		j.Error = rec.Error
@@ -225,28 +246,26 @@ func (s *Store) addResult(hash string, payload json.RawMessage) {
 	}
 }
 
-// trimTerminal drops the oldest terminal job records beyond the cap;
-// pending jobs always survive.
+// trimTerminal drops the oldest-finished terminal job records beyond the
+// cap, the order service.JobTable evicts in; pending jobs always survive.
+// The acceptance order sheds trimmed IDs once they outnumber the live
+// ones, so no finish rescans every record.
 func (s *Store) trimTerminal() {
-	terminal := 0
-	for _, id := range s.order {
-		if !s.jobs[id].Pending() {
-			terminal++
+	for len(s.finished) > s.opt.MaxTerminalJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished[0] = ""
+		s.finished = s.finished[1:]
+	}
+	if len(s.order) > 2*len(s.jobs) {
+		live := s.order[:0]
+		for _, id := range s.order {
+			if _, ok := s.jobs[id]; ok {
+				live = append(live, id)
+			}
 		}
+		clear(s.order[len(live):])
+		s.order = live
 	}
-	if terminal <= s.opt.MaxTerminalJobs {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if terminal > s.opt.MaxTerminalJobs && !s.jobs[id].Pending() {
-			delete(s.jobs, id)
-			terminal--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
 }
 
 // appendLocked journals a record and compacts if the WAL has outgrown the
@@ -338,11 +357,25 @@ func (s *Store) Results() []ResultEntry {
 func (s *Store) Jobs() []*JobRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*JobRecord, 0, len(s.order))
+	return s.jobsLocked()
+}
+
+func (s *Store) jobsLocked() []*JobRecord {
+	out := make([]*JobRecord, 0, len(s.jobs))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+		if j, ok := s.jobs[id]; ok {
+			out = append(out, j)
+		}
 	}
 	return out
+}
+
+// LastAccepted returns the ID of the newest accepted job, whose record may
+// since have been trimmed, so a restarted server never reissues it.
+func (s *Store) LastAccepted() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastAccepted
 }
 
 // Compact snapshots the state and resets the WAL.
@@ -353,9 +386,10 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
-	snap := snapshotState{}
-	for _, id := range s.order {
-		snap.Jobs = append(snap.Jobs, s.jobs[id])
+	snap := snapshotState{
+		Jobs:         s.jobsLocked(),
+		Finished:     s.finished,
+		LastAccepted: s.lastAccepted,
 	}
 	for _, hash := range s.resultOrder {
 		snap.Results = append(snap.Results, ResultEntry{Hash: hash, Payload: s.results[hash]})

@@ -206,6 +206,58 @@ func TestStoreTrimsTerminalJobsNotPending(t *testing.T) {
 	}
 }
 
+// TestStoreTrimsOldestFinished pins the store's eviction order to the
+// in-memory job tables': the oldest-finished terminal record goes first,
+// whatever the acceptance order, and the retained set is the same after a
+// WAL replay and after a compaction snapshot.
+func TestStoreTrimsOldestFinished(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		dir := t.TempDir()
+		s := openStore(t, dir, Options{MaxTerminalJobs: 1})
+		for _, id := range []string{"A", "B"} {
+			if err := s.AcceptJob(id, "h"+id, json.RawMessage(`{}`), t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []string{"B", "A"} {
+			if err := s.FinishJob(id, "failed", "h"+id, "boom", false, nil, t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if compact {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2 := openStore(t, dir, Options{MaxTerminalJobs: 1})
+		jobs := s2.Jobs()
+		if len(jobs) != 1 || jobs[0].ID != "A" {
+			ids := make([]string, len(jobs))
+			for i, j := range jobs {
+				ids[i] = j.ID
+			}
+			t.Fatalf("compact=%v: retained %v, want [A]", compact, ids)
+		}
+		if got := s2.LastAccepted(); got != "B" {
+			t.Fatalf("compact=%v: last accepted %q, want B (trimmed but still issued)", compact, got)
+		}
+		// A later finish keeps evicting in finish order after the reopen.
+		if err := s2.AcceptJob("C", "hC", json.RawMessage(`{}`), t0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.FinishJob("C", "failed", "hC", "boom", false, nil, t0); err != nil {
+			t.Fatal(err)
+		}
+		if jobs := s2.Jobs(); len(jobs) != 1 || jobs[0].ID != "C" {
+			t.Fatalf("compact=%v: after reopen the next finish kept %d records", compact, len(jobs))
+		}
+		s2.Close()
+	}
+}
+
 func TestStoreResultCap(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{MaxResults: 2})
 	defer s.Close()
