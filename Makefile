@@ -16,16 +16,16 @@ vet:
 # shared metrics cache in core, the GA evaluate workers in moea, the
 # job-queue service, the durable store, the distributed sweep coordinator,
 # the fleet gateway, the HEFT seeding heuristic, the paired chain-solve path
-# (relmodel/markov/matrix) and the fault-model evaluation counters read by
+# (relmodel/markov) and the fault-model evaluation counters read by
 # /metrics.
 race:
-	$(GO) vet ./... && $(GO) test -race ./internal/sweep ./internal/core ./internal/moea ./internal/service ./internal/store ./internal/dist ./internal/gateway ./internal/heft ./internal/relmodel ./internal/markov ./internal/matrix ./internal/faultmodel
+	$(GO) vet ./... && $(GO) test -race ./internal/sweep ./internal/core ./internal/moea ./internal/service ./internal/store ./internal/dist ./internal/gateway ./internal/heft ./internal/relmodel ./internal/markov ./internal/faultmodel
 
-# Short continuous-fuzzing pass over the input-parsing surfaces: the TGFF
+# Short continuous-fuzzing pass over the input-parsing surfaces — the TGFF
 # text parser, the JobSpec normalizer, the WAL replayer, the gateway
 # tenant-config parser, the island migrant wire format and the fault-model
-# JSON decoder. Each target gets 10s on top of the checked-in corpus under
-# testdata/fuzz/.
+# JSON decoder — plus the sparse chain solver against its dense oracle.
+# Each target gets 10s on top of the checked-in corpus under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseText -fuzztime 10s ./internal/tgff
 	$(GO) test -run xxx -fuzz FuzzNormalize -fuzztime 10s ./internal/service
@@ -33,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseTenants -fuzztime 10s ./internal/gateway
 	$(GO) test -run xxx -fuzz FuzzMigrationDecode -fuzztime 10s ./internal/moea
 	$(GO) test -run xxx -fuzz FuzzFaultModelDecode -fuzztime 10s ./internal/faultmodel
+	$(GO) test -run xxx -fuzz FuzzAnalyzeMatchesDense -fuzztime 10s ./internal/markov
 
 # SLO load harness: drive an in-process 2-worker fleet through the
 # gateway for 30s of deterministic duplicate-heavy traffic and gate on

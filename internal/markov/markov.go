@@ -17,9 +17,15 @@
 // evaluation, so the builder is allocation-conscious: edges live in one
 // per-chain arena (a linked list threaded through a single slice), state
 // names are formatted lazily (only error paths and dumps read them), and
-// Analyze draws its index tables, right-hand sides and matrices from a
-// package-level scratch pool. Reset lets callers reuse a chain's storage
-// across builds.
+// analysis draws its working set from a package-level scratch pool. Reset
+// lets callers reuse a chain's storage across builds, and AnalyzePair
+// writes into caller-owned Results, so a caller that keeps both analyzes
+// without allocating.
+//
+// The linear systems are solved by a sparse LU (see system) whose results
+// are bit-identical to dense Gaussian elimination with partial pivoting: a
+// reliability chain's (I − Q)ᵀ has a few nonzeros per column, and the
+// factorization visits only those.
 package markov
 
 import (
@@ -28,8 +34,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-
-	"repro/internal/matrix"
 )
 
 // stateName is a lazily formatted state name: a fixed prefix plus an
@@ -178,261 +182,254 @@ func (c *Chain) Name(s int) string {
 	return c.names[s].String()
 }
 
-// Result holds the analysis outputs for an absorbing chain.
+// Result holds the analysis outputs for an absorbing chain. Both slices are
+// indexed by state handle and span every state of the chain.
 type Result struct {
 	// ExpectedTime is the expected accumulated residence time from the
 	// start state until absorption.
 	ExpectedTime float64
-	// ExpectedVisits maps each transient state handle to its expected
-	// number of visits from the start state.
-	ExpectedVisits map[int]float64
-	// Absorption maps each absorbing state handle to the probability of
-	// eventually being absorbed there from the start state.
-	Absorption map[int]float64
+	// ExpectedVisits[s] is the expected number of visits to transient
+	// state s from the start state; 0 for absorbing states.
+	ExpectedVisits []float64
+	// Absorption[s] is the probability of eventually being absorbed in
+	// absorbing state s from the start state; 0 for transient states.
+	Absorption []float64
 }
 
-// AbsorptionByName returns the absorption probability of the named state.
-func (c *Chain) absorptionName(r *Result, name string) (float64, bool) {
-	for s, p := range r.Absorption {
-		if c.names[s].idx < 0 && c.names[s].prefix == name {
-			return p, true
-		}
-		if c.names[s].String() == name {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-// analyzeScratch holds the per-analysis working set: state partitions and
-// index tables, the (I − Q)ᵀ system, its factorization and the solve
-// vectors. Pooled so steady-state Analyze calls reuse one allocation set.
+// analyzeScratch holds the per-analysis working set: the transient index
+// table, the sparse (I − Q)ᵀ system and its factors, the transient →
+// absorbing block R and the solved visits. Pooled so steady-state analyses
+// reuse one allocation set; release clears the system for the next use.
 type analyzeScratch struct {
-	transient, absorbing []int32
-	tIndex, aIndex       []int32 // state handle → row/column index
-	iqT, r               matrix.Dense
-	lu                   matrix.LU
-	e, visits            []float64
-	// bm/xm are the multi-RHS buffers of AnalyzePair's batched solve.
-	bm, xm matrix.Dense
+	transient []int32
+	tIndex    []int32 // state handle → transient index
+	sys       system
+	// R in compressed rows: transient i's absorbing targets and their
+	// accumulated probabilities are rTo/rVal[rStart[i]:rStart[i+1]].
+	rStart, rTo []int32
+	rVal        []float64
+	visits      []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &analyzeScratch{} }}
 
-// grow returns s resized to n entries, reusing capacity.
-func grow(s []int32, n int) []int32 {
+func acquire() *analyzeScratch { return scratchPool.Get().(*analyzeScratch) }
+
+func release(sc *analyzeScratch) {
+	sc.sys.clear()
+	scratchPool.Put(sc)
+}
+
+// growI32 returns s resized to n entries, reusing capacity.
+func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
 	}
 	return s[:n]
 }
 
-func growF(s []float64, n int) []float64 {
+// zeroed returns s resized to n zero entries, reusing capacity.
+func zeroed(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
 	}
-	return s[:n]
+	s = s[:n]
+	for i := range s {
+		s[i] = 0
+	}
+	return s
 }
 
-// assemble partitions the states and builds the (I − Q)ᵀ system and the
-// transient→absorbing block R into sc — the front half of Analyze, shared
-// with AnalyzePair. Callers have already handled the degenerate
-// absorbed-at-start case.
+// assemble indexes the transient states and builds the (I − Q)ᵀ system and
+// the transient→absorbing block R into sc, straight from the edge arena.
+// Callers have already handled the degenerate absorbed-at-start case.
 //
-// Fundamental matrix N = (I − Q)⁻¹. We only need the start row of N:
+// Fundamental matrix N = (I − Q)⁻¹. Only the start row of N is needed:
 // visits v = e_startᵀ·N, obtained by solving (I − Q)ᵀ·vᵀ = e_start.
-// (I − Q)ᵀ is assembled in place — transition i→j contributes −Q[i][j]
-// to entry (j, i) — instead of materializing Q, I − Q and a transposed
-// copy (this sits on the hot path of every task-metric evaluation).
+// Transition i→j contributes −Q[i][j] to entry (j, i), so walking the
+// transient states in order fills (I − Q)ᵀ column by column, each entry
+// summed in edge-insertion order from its identity value.
 func (c *Chain) assemble(sc *analyzeScratch) error {
 	ns := len(c.names)
-	sc.transient, sc.absorbing = sc.transient[:0], sc.absorbing[:0]
-	sc.tIndex, sc.aIndex = grow(sc.tIndex, ns), grow(sc.aIndex, ns)
+	sc.transient = sc.transient[:0]
+	sc.tIndex = growI32(sc.tIndex, ns)
 	for s := 0; s < ns; s++ {
-		if c.absorbing[s] {
-			sc.aIndex[s] = int32(len(sc.absorbing))
-			sc.absorbing = append(sc.absorbing, int32(s))
-		} else {
+		if !c.absorbing[s] {
 			sc.tIndex[s] = int32(len(sc.transient))
 			sc.transient = append(sc.transient, int32(s))
 		}
 	}
-	if len(sc.absorbing) == 0 {
+	if len(sc.transient) == ns {
 		return fmt.Errorf("markov: chain has no absorbing state")
 	}
-	// Validate outgoing probability mass of transient states.
 	for _, s := range sc.transient {
 		if sum := c.outMass(int(s)); math.Abs(sum-1) > 1e-9 {
 			return fmt.Errorf("markov: state %q has outgoing probability %v, want 1", c.names[s], sum)
 		}
 	}
-	nT, nA := len(sc.transient), len(sc.absorbing)
-	rd := sc.r.Reshape(nT, nA).Data() // transient → absorbing
-	qd := sc.iqT.ReshapeIdentity(nT).Data()
-	for _, s := range sc.transient {
-		i := int(sc.tIndex[s])
+	sc.sys.reset(len(sc.transient))
+	sc.rStart, sc.rTo, sc.rVal = append(sc.rStart[:0], 0), sc.rTo[:0], sc.rVal[:0]
+	for i, s := range sc.transient {
+		sc.sys.add(i, i, 1)
+		first := len(sc.rTo)
 		for e := c.head[s]; e >= 0; e = c.earena[e].next {
-			to, prob := int(c.earena[e].to), c.earena[e].prob
-			if c.absorbing[to] {
-				rd[i*nA+int(sc.aIndex[to])] += prob
-			} else {
-				qd[int(sc.tIndex[to])*nT+i] += -prob
+			to, prob := c.earena[e].to, c.earena[e].prob
+			if !c.absorbing[to] {
+				sc.sys.add(int(sc.tIndex[to]), i, -prob)
+				continue
 			}
+			k := first
+			for k < len(sc.rTo) && sc.rTo[k] != to {
+				k++
+			}
+			if k == len(sc.rTo) {
+				sc.rTo, sc.rVal = append(sc.rTo, to), append(sc.rVal, 0)
+			}
+			sc.rVal[k] += prob
 		}
+		sc.rStart = append(sc.rStart, int32(len(sc.rTo)))
 	}
 	return nil
 }
 
-// factorAndSolve factorizes the assembled system and solves for the
-// start-row visits vector — the back half of Analyze.
-func (c *Chain) factorAndSolve(sc *analyzeScratch) error {
-	if err := matrix.FactorizeInto(&sc.lu, &sc.iqT); err != nil {
+// factor factorizes the assembled system.
+func (sc *analyzeScratch) factor() error {
+	if err := sc.sys.factor(); err != nil {
 		return fmt.Errorf("markov: chain is not absorbing from every transient state: %w", err)
 	}
-	c.solveStart(sc)
 	return nil
 }
 
-// solveStart solves (I − Q)ᵀ·visits = e_start with sc's factorization.
-func (c *Chain) solveStart(sc *analyzeScratch) {
-	nT := len(sc.transient)
-	sc.e, sc.visits = growF(sc.e, nT), growF(sc.visits, nT)
-	for i := range sc.e {
-		sc.e[i] = 0
-	}
-	sc.e[sc.tIndex[c.start]] = 1
-	sc.lu.SolveVecInto(sc.visits, sc.e)
+// solveStart solves (I − Q)ᵀ·visits = e_start into sc.visits with the
+// factors held by f (sc's own, or a bit-identical system's).
+func (c *Chain) solveStart(sc *analyzeScratch, f *system) {
+	sc.visits = zeroed(sc.visits, len(sc.transient))
+	f.solveUnit(sc.visits, int(sc.tIndex[c.start]))
 }
 
-// collect turns the solved visits vector into a Result, replicating
-// Analyze's historical summation order exactly.
-func (c *Chain) collect(sc *analyzeScratch) *Result {
-	nT, nA := len(sc.transient), len(sc.absorbing)
-	res := &Result{
-		ExpectedVisits: make(map[int]float64, nT),
-		Absorption:     make(map[int]float64, nA),
+// collect writes the solved visits into r. Expected time sums over the
+// transient states in order; absorption probabilities are the start row of
+// B = N·R, each summed over the transient states in order. The terms of R's
+// zero entries are skipped: they are exact zeros added to a sum that is
+// never −0.
+func (c *Chain) collect(sc *analyzeScratch, r *Result) {
+	ns := len(c.names)
+	r.ExpectedTime = 0
+	r.ExpectedVisits, r.Absorption = zeroed(r.ExpectedVisits, ns), zeroed(r.Absorption, ns)
+	for i, s := range sc.transient {
+		v := sc.visits[i]
+		r.ExpectedVisits[s] = v
+		r.ExpectedTime += v * c.residence[s]
 	}
-	for _, s := range sc.transient {
-		v := sc.visits[sc.tIndex[s]]
-		res.ExpectedVisits[int(s)] = v
-		res.ExpectedTime += v * c.residence[s]
-	}
-	// Absorption probabilities B = N·R; start row is visitsᵀ·R.
-	rd := sc.r.Data()
-	for _, s := range sc.absorbing {
-		j := int(sc.aIndex[s])
-		p := 0.0
-		for _, ts := range sc.transient {
-			p += sc.visits[sc.tIndex[ts]] * rd[int(sc.tIndex[ts])*nA+j]
+	for i, v := range sc.visits {
+		for k := sc.rStart[i]; k < sc.rStart[i+1]; k++ {
+			r.Absorption[sc.rTo[k]] += v * sc.rVal[k]
 		}
-		res.Absorption[int(s)] = p
 	}
-	return res
 }
 
 // Analyze validates the chain and computes expected time to absorption and
 // absorption probabilities using the fundamental matrix.
 func (c *Chain) Analyze() (*Result, error) {
+	r := &Result{}
+	if err := c.analyzeInto(r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// analyzeInto is Analyze writing into a caller-owned Result.
+func (c *Chain) analyzeInto(r *Result) error {
 	if !c.hasStart {
-		return nil, fmt.Errorf("markov: no start state set")
+		return fmt.Errorf("markov: no start state set")
 	}
 	if c.absorbing[c.start] {
 		// Degenerate but legal: absorbed immediately.
-		return &Result{
-			ExpectedTime:   0,
-			ExpectedVisits: map[int]float64{},
-			Absorption:     map[int]float64{c.start: 1},
-		}, nil
+		ns := len(c.names)
+		r.ExpectedTime = 0
+		r.ExpectedVisits, r.Absorption = zeroed(r.ExpectedVisits, ns), zeroed(r.Absorption, ns)
+		r.Absorption[c.start] = 1
+		return nil
 	}
-
-	sc := scratchPool.Get().(*analyzeScratch)
-	defer scratchPool.Put(sc)
+	sc := acquire()
+	defer release(sc)
 	if err := c.assemble(sc); err != nil {
-		return nil, err
+		return err
 	}
-	if err := c.factorAndSolve(sc); err != nil {
-		return nil, err
+	if err := sc.factor(); err != nil {
+		return err
 	}
-	return c.collect(sc), nil
+	c.solveStart(sc, &sc.sys)
+	c.collect(sc, r)
+	return nil
 }
 
-// AnalyzePair analyzes two chains together, answering both from a single
-// factorization when their transient systems coincide bit for bit. The
-// timing and functional chains of a checkpoint-free CLR configuration are
-// the motivating case: both insert the same transient states in the same
-// order with the same inter-state probabilities, so their (I − Q)ᵀ
-// matrices are identical even though residence times and absorbing
-// structure differ. Sharing is detected by bitwise comparison of the
-// assembled systems — never assumed from the builders — so the returned
-// results are bit-identical to a.Analyze() and b.Analyze() in every case.
-// shared reports whether one factorization served both.
-func AnalyzePair(a, b *Chain) (ra, rb *Result, shared bool, err error) {
+// AnalyzePair analyzes two chains together into ra and rb, answering both
+// from a single factorization when their transient systems coincide bit for
+// bit. The timing and functional chains of a checkpoint-free CLR
+// configuration are the motivating case: both insert the same transient
+// states in the same order with the same inter-state probabilities, so
+// their (I − Q)ᵀ matrices are identical even though residence times and
+// absorbing structure differ. Sharing is detected by bitwise comparison of
+// the assembled systems — never assumed from the builders — so the results
+// are bit-identical to a.Analyze() and b.Analyze() in every case. shared
+// reports whether one factorization served both. ra and rb keep their
+// storage across calls, so a caller that reuses them analyzes without
+// allocating.
+func AnalyzePair(a, b *Chain, ra, rb *Result) (shared bool, err error) {
 	if !a.hasStart || !b.hasStart || a.absorbing[a.start] || b.absorbing[b.start] {
 		// Missing-start errors and degenerate absorbed-at-start results keep
 		// Analyze's exact behavior.
-		if ra, err = a.Analyze(); err != nil {
-			return nil, nil, false, err
+		if err = a.analyzeInto(ra); err != nil {
+			return false, err
 		}
-		if rb, err = b.Analyze(); err != nil {
-			return nil, nil, false, err
-		}
-		return ra, rb, false, nil
+		return false, b.analyzeInto(rb)
 	}
-	sa := scratchPool.Get().(*analyzeScratch)
-	defer scratchPool.Put(sa)
-	sb := scratchPool.Get().(*analyzeScratch)
-	defer scratchPool.Put(sb)
+	sa, sb := acquire(), acquire()
+	defer release(sa)
+	defer release(sb)
 	if err = a.assemble(sa); err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
 	if err = b.assemble(sb); err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
-	if sa.iqT.EqualBits(&sb.iqT) {
-		if err = matrix.FactorizeInto(&sa.lu, &sa.iqT); err != nil {
-			return nil, nil, false, fmt.Errorf("markov: chain is not absorbing from every transient state: %w", err)
+	shared = sa.sys.equalBits(&sb.sys)
+	if err = sa.factor(); err != nil {
+		return false, err
+	}
+	a.solveStart(sa, &sa.sys)
+	fb := &sa.sys
+	if !shared {
+		if err = sb.factor(); err != nil {
+			return false, err
 		}
-		nT := len(sa.transient)
-		ia, ib := int(sa.tIndex[a.start]), int(sb.tIndex[b.start])
-		if ia == ib {
-			// Same system, same right-hand side: one solve serves both. The
-			// copied visits are bit-identical to what b's own factorization
-			// would produce, because the factorization is a deterministic
-			// function of the matrix bits.
-			a.solveStart(sa)
-			sb.visits = growF(sb.visits, nT)
-			copy(sb.visits, sa.visits[:nT])
-		} else {
-			// Same system, different start rows: batch both unit right-hand
-			// sides through one multi-RHS solve (column-wise identical to
-			// two SolveVecInto calls).
-			bm := sa.bm.Reshape(nT, 2)
-			bm.Set(ia, 0, 1)
-			bm.Set(ib, 1, 1)
-			xm := sa.xm.Reshape(nT, 2)
-			sa.lu.SolveInto(xm, bm)
-			sa.visits, sb.visits = growF(sa.visits, nT), growF(sb.visits, nT)
-			for i := 0; i < nT; i++ {
-				sa.visits[i] = xm.At(i, 0)
-				sb.visits[i] = xm.At(i, 1)
-			}
-		}
-		return a.collect(sa), b.collect(sb), true, nil
+		fb = &sb.sys
 	}
-	if err = a.factorAndSolve(sa); err != nil {
-		return nil, nil, false, err
+	// Factors are a deterministic function of the matrix bits, so b solved
+	// against a's factors gets exactly what its own would give. The same
+	// start row repeats a's solve; copying it is bit-identical.
+	if shared && sa.tIndex[a.start] == sb.tIndex[b.start] {
+		sb.visits = append(sb.visits[:0], sa.visits...)
+	} else {
+		b.solveStart(sb, fb)
 	}
-	if err = b.factorAndSolve(sb); err != nil {
-		return nil, nil, false, err
-	}
-	return a.collect(sa), b.collect(sb), false, nil
+	a.collect(sa, ra)
+	b.collect(sb, rb)
+	return shared, nil
 }
 
 // AbsorptionProbability is a convenience accessor: the probability of
-// absorption in the state with the given name. The second return is false
-// if no absorbing state has that name.
+// absorption in the absorbing state with the given name, the lowest such
+// handle when several share the name. The second return is false if no
+// absorbing state has that name.
 func (c *Chain) AbsorptionProbability(r *Result, name string) (float64, bool) {
-	return c.absorptionName(r, name)
+	for s, n := range c.names {
+		if c.absorbing[s] && n.prefix == name { // absorbing names carry no suffix
+			return r.Absorption[s], true
+		}
+	}
+	return 0, false
 }
 
 // Validate checks structural consistency without running the full analysis:

@@ -223,6 +223,27 @@ func TestAbsorptionProbabilityByName(t *testing.T) {
 	}
 }
 
+// TestAbsorptionProbabilityDuplicateNames pins the lookup to the lowest
+// handle when absorbing states share a name, which AddAbsorbing allows.
+func TestAbsorptionProbabilityDuplicateNames(t *testing.T) {
+	c := New()
+	s := c.AddState("s", 1)
+	first := c.AddAbsorbing("done")
+	second := c.AddAbsorbing("done")
+	c.Transition(s, first, 0.25)
+	c.Transition(s, second, 0.75)
+	c.SetStart(s)
+	r, err := c.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if p, found := c.AbsorptionProbability(r, "done"); !found || p != r.Absorption[first] {
+			t.Fatalf("P(done) = %v found=%v, want the first state's %v", p, found, r.Absorption[first])
+		}
+	}
+}
+
 func TestDumpDeterministic(t *testing.T) {
 	build := func() string {
 		c := New()

@@ -32,7 +32,7 @@ func BenchmarkChainSolveUnbatched(b *testing.B) {
 			b.Fatal(err)
 		}
 		fc.Reset()
-		if err := buildFunctionalChainInto(fc, execStates, p); err != nil {
+		if _, _, err := buildFunctionalChainInto(fc, execStates, p); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := tc.Analyze(); err != nil {

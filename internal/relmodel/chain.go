@@ -257,27 +257,29 @@ func buildTimingChainInto(c *markov.Chain, execStates []int, p ChainParams) erro
 // can themselves fail (the dotted p_Chke edge of Fig. 3(b)).
 func BuildFunctionalChain(p ChainParams) (*markov.Chain, error) {
 	c := markov.New()
-	if err := buildFunctionalChainInto(c, nil, p); err != nil {
+	if _, _, err := buildFunctionalChainInto(c, nil, p); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 // buildFunctionalChainInto assembles the functional chain into c (fresh or
-// Reset), reusing execStates as scratch when non-nil.
-func buildFunctionalChainInto(c *markov.Chain, execStates []int, p ChainParams) error {
+// Reset), reusing execStates as scratch when non-nil. It returns the handles
+// of the Error and PermFail absorbing states (permFail is -1 when the
+// permanent process is off).
+func buildFunctionalChainInto(c *markov.Chain, execStates []int, p ChainParams) (errS, permFail int, err error) {
 	if err := p.Validate(); err != nil {
-		return err
+		return 0, 0, err
 	}
 	n := p.Checkpoints + 1
 	pChkE := p.pChkError()
 
 	noErr := c.AddAbsorbing("noError")
-	errS := c.AddAbsorbing("Error")
+	errS = c.AddAbsorbing("Error")
 	// Permanent-fault states mirror the timing chain (zero residence: the
 	// functional chain resolves probabilities, not time).
 	perm := p.PermPerUS > 0
-	var permFail int
+	permFail = -1
 	if perm {
 		permFail = c.AddAbsorbing("PermFail")
 	}
@@ -342,7 +344,7 @@ func buildFunctionalChainInto(c *markov.Chain, execStates []int, p ChainParams) 
 		c.Transition(asw, errS, 1-p.MASW)
 	}
 	c.SetStart(execStates[0])
-	return nil
+	return errS, permFail, nil
 }
 
 // TaskReliability bundles the two chain analyses for one configuration.
@@ -361,11 +363,13 @@ type TaskReliability struct {
 }
 
 // chainScratch is the reusable working set of one AnalyzeChains call: one
-// chain per model (both alive at once so they can be analyzed as a pair)
-// and the per-interval state-handle buffer. Pooled so the task-metric hot
-// path builds both chains without allocating their storage.
+// chain per model (both alive at once so they can be analyzed as a pair),
+// their analysis results and the per-interval state-handle buffer. Pooled
+// so the task-metric hot path builds and solves both chains without
+// allocating.
 type chainScratch struct {
 	timing, functional *markov.Chain
+	tr, fr             markov.Result
 	execStates         []int
 }
 
@@ -425,10 +429,11 @@ func AnalyzeChains(p ChainParams) (TaskReliability, error) {
 	}
 	fc := sc.functional
 	fc.Reset()
-	if err := buildFunctionalChainInto(fc, sc.execStates, p); err != nil {
+	errS, permFail, err := buildFunctionalChainInto(fc, sc.execStates, p)
+	if err != nil {
 		return out, err
 	}
-	tr, fr, shared, err := markov.AnalyzePair(tc, fc)
+	shared, err := markov.AnalyzePair(tc, fc, &sc.tr, &sc.fr)
 	if err != nil {
 		return out, fmt.Errorf("relmodel: chain analysis: %w", err)
 	}
@@ -437,21 +442,12 @@ func AnalyzeChains(p ChainParams) (TaskReliability, error) {
 	} else {
 		pairSolveTotals.solo.Add(1)
 	}
-	out.AvgExTimeUS = tr.ExpectedTime
-
-	pErr, ok := fc.AbsorptionProbability(fr, "Error")
-	if !ok {
-		return out, fmt.Errorf("relmodel: functional chain lacks Error state")
-	}
-	if p.PermPerUS > 0 {
-		pPerm, ok := fc.AbsorptionProbability(fr, "PermFail")
-		if !ok {
-			return out, fmt.Errorf("relmodel: functional chain lacks PermFail state")
-		}
-		out.PermFailProb = pPerm
+	out.AvgExTimeUS = sc.tr.ExpectedTime
+	if permFail >= 0 {
+		out.PermFailProb = sc.fr.Absorption[permFail]
 	}
 	n := float64(p.Checkpoints + 1)
 	out.MinExTimeUS = p.ExecTimeUS + n*p.DetTimeUS + float64(p.Checkpoints)*p.ChkTimeUS
-	out.ErrProb = pErr
+	out.ErrProb = sc.fr.Absorption[errS]
 	return out, nil
 }

@@ -467,3 +467,26 @@ func TestUnequalIntervalsOptimalPlacement(t *testing.T) {
 			balanced, earlySkew, lateSkew)
 	}
 }
+
+// TestAnalyzeChainsAllocFree pins the task-metric hot path to zero
+// allocations in steady state, for the paired checkpoint-free solve and for
+// checkpointed chains that factor twice.
+func TestAnalyzeChainsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	ckpt := baseParams()
+	ckpt.Checkpoints = 3
+	ckpt.ModelCheckpointErrors = true
+	perm := ckpt
+	perm.PermPerUS, perm.RepairProb, perm.RepairTimeUS = 1e-5, 0.5, 10
+	for name, p := range map[string]ChainParams{"checkpoint-free": baseParams(), "checkpointed": ckpt, "permanent": perm} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := AnalyzeChains(p); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocs per AnalyzeChains, want 0", name, allocs)
+		}
+	}
+}

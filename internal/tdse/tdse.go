@@ -188,25 +188,29 @@ func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, ca
 	if err := cat.Validate(); err != nil {
 		return nil, err
 	}
-	var out []Candidate
-	for _, base := range lib.ImplsShared(taskType) {
+	hws := indicesOrAll(opt.HW, len(cat.HW))
+	ssws := indicesOrAll(opt.SSW, len(cat.SSW))
+	asws := indicesOrAll(opt.ASW, len(cat.ASW))
+	// The checkpoint-policy axis multiplies the enumeration; a nil axis is
+	// the single zero policy, which — together with a nil fault model —
+	// routes through the legacy Evaluate so candidate order and metrics stay
+	// bit-identical to the pre-subsystem engine.
+	policies := opt.Checkpoints
+	if policies == nil {
+		policies = zeroPolicyAxis[:]
+	}
+	bases := lib.ImplsShared(taskType)
+	size := 0
+	for _, base := range bases {
+		size += countBelow(opt.Modes, len(p.Types()[base.PETypeIndex].Modes))
+	}
+	out := make([]Candidate, 0, size*len(hws)*len(ssws)*len(asws)*len(policies))
+	for _, base := range bases {
 		if opt.ImplicitMaskingOverride >= 0 {
 			base.ImplicitMasking = opt.ImplicitMaskingOverride
 		}
 		pt := p.Types()[base.PETypeIndex]
 		modes := indicesOrAll(opt.Modes, len(pt.Modes))
-		hws := indicesOrAll(opt.HW, len(cat.HW))
-		ssws := indicesOrAll(opt.SSW, len(cat.SSW))
-		asws := indicesOrAll(opt.ASW, len(cat.ASW))
-		// The checkpoint-policy axis multiplies the enumeration; a nil
-		// axis is the single zero policy, which — together with a nil
-		// fault model — routes through the legacy Evaluate so candidate
-		// order and metrics stay bit-identical to the pre-subsystem
-		// engine.
-		policies := opt.Checkpoints
-		if policies == nil {
-			policies = zeroPolicyAxis[:]
-		}
 		for _, mode := range modes {
 			if mode >= len(pt.Modes) {
 				continue
@@ -242,6 +246,21 @@ func Enumerate(lib *characterize.Library, taskType int, p *platform.Platform, ca
 // zeroPolicyAxis is the degenerate checkpoint axis of legacy enumerations.
 var zeroPolicyAxis = [1]faultmodel.CheckpointPolicy{}
 
+// countBelow counts the selected indices below n (all n when sel is nil):
+// the DVFS modes Enumerate keeps for a PE type with n modes.
+func countBelow(sel []int, n int) int {
+	if sel == nil {
+		return n
+	}
+	c := 0
+	for _, i := range sel {
+		if i < n {
+			c++
+		}
+	}
+	return c
+}
+
 func indicesOrAll(sel []int, n int) []int {
 	if sel != nil {
 		return sel
@@ -259,23 +278,34 @@ func Filter(cands []Candidate, objectives []Objective) []Candidate {
 	if len(objectives) == 0 {
 		panic("tdse: empty objective set")
 	}
-	groups := map[int][]Candidate{}
-	var order []int
-	for _, c := range cands {
-		if _, ok := groups[c.Base.PETypeIndex]; !ok {
-			order = append(order, c.Base.PETypeIndex)
+	// Candidate indices grouped by PE type, groups in first-appearance
+	// order; PE types are few, so a linear scan finds a group.
+	var types []int
+	var groups [][]int
+	for i := range cands {
+		pti := cands[i].Base.PETypeIndex
+		g := 0
+		for g < len(types) && types[g] != pti {
+			g++
 		}
-		groups[c.Base.PETypeIndex] = append(groups[c.Base.PETypeIndex], c)
+		if g == len(types) {
+			types, groups = append(types, pti), append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
+	k := len(objectives)
 	var out []Candidate
-	for _, pti := range order {
-		g := groups[pti]
+	for _, g := range groups {
+		flat := make([]float64, len(g)*k)
 		pts := make([][]float64, len(g))
-		for i, c := range g {
-			pts[i] = Vector(c.Metrics, objectives)
+		for i, ci := range g {
+			pts[i] = flat[i*k : (i+1)*k : (i+1)*k]
+			for j, o := range objectives {
+				pts[i][j] = Value(cands[ci].Metrics, o)
+			}
 		}
 		for _, i := range pareto.Filter(pts) {
-			out = append(out, g[i])
+			out = append(out, cands[g[i]])
 		}
 	}
 	return out
