@@ -14,8 +14,8 @@ vet:
 
 # Race-check the concurrency-bearing packages: the sweep executor, the
 # shared metrics cache in core, the GA evaluate workers in moea, the
-# job-queue service, the durable store, the distributed sweep coordinator,
-# the fleet gateway, the HEFT seeding heuristic, the paired chain-solve path
+# job-queue service, the durable store, the sweep client and island
+# exchange in dist, the fleet gateway, the HEFT seeding heuristic, the paired chain-solve path
 # (relmodel/markov) and the fault-model evaluation counters read by
 # /metrics.
 race:

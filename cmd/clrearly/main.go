@@ -8,11 +8,12 @@
 //	         [-max-makespan US] [-min-frel F] [-min-mttf H] [-max-energy UJ] [-max-power W]
 //	         [-platform hmpsoc|fpga] [-catalog default|extended|fpga]
 //	         [-faults model.json] [-ckpt-modes] [-ckpt-intervals 1,2]
-//	         [-remote host:port,...]
+//	         [-remote URL [-api-key KEY]]
 //
-// -remote offloads the run to one of the given clrearlyd workers (with
-// retries, hedging and a transparent local fallback); the printed front is
-// byte-identical to a local run either way.
+// -remote offloads the run to one /v1/jobs endpoint, a clrearlygw gateway
+// or a single clrearlyd, presenting -api-key as a bearer token. Failures
+// are retried with backoff and then fall back to a local run; the printed
+// front is byte-identical to a local run either way.
 //
 // The synthetic application uses the TGFF-style generator over ten task
 // types; sobel is the five-task edge-detection pipeline of the paper's
@@ -80,7 +81,8 @@ func run(args []string, w io.Writer) error {
 	convergeEps := fs.Float64("converge-eps", 0, "relative hypervolume-improvement threshold under -converge (0 = default 1e-3)")
 	jsonOut := fs.Bool("json", false, "emit the front as JSON in the service wire format")
 	ganttChart := fs.Bool("gantt", false, "render the most reliable mapping as a Gantt chart (proposed/fcclr only)")
-	remote := fs.String("remote", "", "comma-separated clrearlyd worker addresses; offload the run with local fallback")
+	remote := fs.String("remote", "", "offload the run to this clrearlygw (or clrearlyd) URL, with local fallback")
+	apiKey := fs.String("api-key", "", "API key presented to -remote as a bearer token")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,6 +155,13 @@ func run(args []string, w io.Writer) error {
 		// rendered as a schedule.
 		return fmt.Errorf("-gantt requires a local run (drop -remote)")
 	}
+	// Without -remote the coordinator runs the spec locally; with it,
+	// retries and a local fallback on the already-built instance make the
+	// output byte-identical to a local run even if the endpoint dies.
+	coord, err := dist.New(*remote, *apiKey)
+	if err != nil {
+		return err
+	}
 
 	inst, flib, err := service.Build(&spec)
 	if err != nil {
@@ -162,19 +171,9 @@ func run(args []string, w io.Writer) error {
 		fcLog, pfLog := core.SearchSpaceLog10(inst, flib)
 		fmt.Fprintf(w, "design space: fcCLR ≈ 10^%.0f points, pfCLR ≈ 10^%.0f points\n", fcLog, pfLog)
 	}
-	var front *core.Front
-	if *remote != "" {
-		// Dispatch through the federation machinery: retries, hedging and
-		// a local fallback on the already-built instance make the output
-		// byte-identical to a local run even if every worker dies.
-		coord := dist.New(strings.Split(*remote, ","), dist.Options{})
-		defer coord.Close()
-		front, err = coord.RunOne(context.Background(), &spec, func() (*core.Front, error) {
-			return service.ExecuteOn(context.Background(), inst, flib, &spec, nil)
-		})
-	} else {
-		front, err = service.ExecuteOn(context.Background(), inst, flib, &spec, nil)
-	}
+	front, err := coord.RunOne(context.Background(), &spec, func() (*core.Front, error) {
+		return service.ExecuteOn(context.Background(), inst, flib, &spec, nil)
+	})
 	if err != nil {
 		return err
 	}

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/service"
 )
 
@@ -258,5 +262,56 @@ func TestRunFaultFlagErrors(t *testing.T) {
 	}
 	if err := run(small("-method", "pfclr", "-ckpt-modes", "-ckpt-intervals", "x"), &buf); err == nil {
 		t.Error("malformed -ckpt-intervals accepted")
+	}
+}
+
+// TestRunRemoteMatchesLocal offloads a run to a tenant-keyed gateway with
+// one agent and requires the output to be byte-identical to a local run.
+func TestRunRemoteMatchesLocal(t *testing.T) {
+	gw, err := gateway.New(gateway.Config{
+		Tenants:    []gateway.TenantConfig{{Name: "t", Key: "t-key", RatePerSec: 100, Burst: 100, MaxActive: -1}},
+		ProbeEvery: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw)
+	t.Cleanup(func() { ts.Close(); gw.Close() })
+	agent, err := gateway.NewAgent(gateway.AgentConfig{Gateway: ts.URL, Name: "w0", PollTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); agent.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+
+	args := small("-method", "fcclr", "-seed", "9")
+	var local, remote bytes.Buffer
+	if err := run(args, &local); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-remote", ts.URL, "-api-key", "t-key"), &remote); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(local.Bytes(), remote.Bytes()) {
+		t.Fatalf("remote output differs:\n--- local ---\n%s\n--- remote ---\n%s", local.Bytes(), remote.Bytes())
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m gateway.MetricsWire
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Completed != 1 {
+		t.Fatalf("gateway completed %d jobs, want 1 (the run fell back to local)", m.Completed)
+	}
+
+	err = run(append(args, "-remote", "localhost:1,localhost:2"), &remote)
+	if err == nil || !strings.Contains(err.Error(), "clrearlygw") {
+		t.Fatalf("err = %v, want a refusal that names clrearlygw", err)
 	}
 }

@@ -8,7 +8,7 @@
 //	             ablation-seeding,ablation-operators,ablation-comm,ablation-engine,
 //	             ablation-heft,ext-scenario,ext-memory,ext-fpga]
 //	            [-pop N] [-gens N] [-seed N] [-sizes 10,20,...] [-quick] [-jobs N]
-//	            [-cpuprofile file] [-memprofile file]
+//	            [-workers URL [-api-key KEY]] [-cpuprofile file] [-memprofile file]
 //
 // -quick switches to a reduced GA budget and a short size sweep, useful for
 // smoke-testing the full pipeline in under a minute.
@@ -18,13 +18,16 @@
 // Output is byte-identical for every -jobs value at a fixed -seed — only
 // the per-experiment wall-clock in the section headers differs.
 //
-// -workers host:port,... federates the system-level experiment cells
-// (fig7, table5, fig8, table6) across remote clrearlyd daemons. Remote
-// runs rebuild the exact local instances from seeds and every failure
-// falls back to local execution, so output is byte-identical to a local
-// run for any worker set — including workers dying mid-sweep. Coordinator
-// metrics are printed to stderr when the run finishes. Use -timing=false
-// to drop wall-clock times from section headers when diffing runs.
+// -workers URL runs the system-level experiment cells (fig7, table5, fig8,
+// table6) through one /v1/jobs endpoint: a clrearlygw gateway, which
+// spreads them over its fleet, or a single clrearlyd. -api-key is the
+// tenant key (or the daemon's -worker-token) sent as a bearer token. At
+// most -jobs cells are in flight. Remote runs rebuild the exact local
+// instances from seeds and every failure falls back to local execution,
+// so output is byte-identical to a local run — including workers dying
+// mid-sweep. A one-line coordinator summary goes to stderr when the run
+// finishes. Use -timing=false to drop wall-clock times from section
+// headers when diffing runs.
 package main
 
 import (
@@ -63,7 +66,8 @@ func run(args []string, w io.Writer) error {
 	sizes := fs.String("sizes", "", "comma-separated task counts for the table sweeps")
 	jobs := fs.Int("jobs", 0, "max concurrent experiment cells (0 = all cores, 1 = sequential)")
 	jsonPath := fs.String("json", "", "also write all results as JSON to this file")
-	workers := fs.String("workers", "", "comma-separated clrearlyd worker addresses for distributed sweeps")
+	workers := fs.String("workers", "", "run system-level cells through this clrearlygw (or clrearlyd) URL")
+	apiKey := fs.String("api-key", "", "API key presented to -workers as a bearer token")
 	timing := fs.Bool("timing", true, "include wall-clock times in section headers")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -153,11 +157,11 @@ func run(args []string, w io.Writer) error {
 	cfg.ConvergeWindow = *convergeWindow
 	cfg.ConvergeEps = *convergeEps
 	if *workers != "" {
-		coord := dist.New(strings.Split(*workers, ","), dist.Options{})
-		defer func() {
-			fmt.Fprint(os.Stderr, coord.Metrics())
-			coord.Close()
-		}()
+		coord, err := dist.New(*workers, *apiKey)
+		if err != nil {
+			return err
+		}
+		defer func() { fmt.Fprint(os.Stderr, coord.Metrics()) }()
 		cfg.Remote = coord
 	}
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -12,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/gateway"
 	"repro/internal/service"
 )
 
@@ -90,74 +91,30 @@ func TestRunBadSizes(t *testing.T) {
 	}
 }
 
-// workerProc is an in-process clrearlyd worker for the distributed golden
-// test: a real service.Server behind httptest, killable (502 + running
-// jobs aborted) and resurrectable behind the same URL.
-type workerProc struct {
-	srv *httptest.Server
-
-	mu      sync.Mutex
-	inner   *service.Server
-	submits int
-	// killAtSubmit kills the worker right after it accepts the n-th job
-	// (1-based); 0 disables.
-	killAtSubmit int
-}
-
-func newWorkerProc(t *testing.T) *workerProc {
+// newAgent returns a gateway agent and a start func that runs it until
+// the test ends; a nil exec runs specs with service.Execute. The cleanup is
+// registered here, so start may run on any goroutine.
+func newAgent(t *testing.T, gwURL, name string, exec gateway.ExecFunc) (*gateway.Agent, func()) {
 	t.Helper()
-	p := &workerProc{inner: service.New(service.Config{Workers: 2})}
-	p.srv = httptest.NewServer(p)
-	t.Cleanup(func() {
-		p.kill()
-		p.srv.Close()
+	a, err := gateway.NewAgent(gateway.AgentConfig{
+		Gateway: gwURL, Token: "fleet-token", Name: name,
+		PollTimeout: 100 * time.Millisecond, Exec: exec,
 	})
-	return p
-}
-
-func (p *workerProc) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	p.mu.Lock()
-	inner := p.inner
-	kill := false
-	if inner != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-		p.submits++
-		kill = p.killAtSubmit > 0 && p.submits == p.killAtSubmit
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.mu.Unlock()
-	if inner == nil {
-		http.Error(w, "worker down", http.StatusBadGateway)
-		return
-	}
-	inner.ServeHTTP(w, r)
-	if kill {
-		p.kill()
-	}
-}
-
-func (p *workerProc) kill() {
-	p.mu.Lock()
-	inner := p.inner
-	p.inner = nil
-	p.mu.Unlock()
-	if inner != nil {
-		expired, cancel := context.WithCancel(context.Background())
-		cancel()
-		inner.Shutdown(expired)
-	}
-}
-
-func (p *workerProc) resurrect() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.inner == nil {
-		p.inner = service.New(service.Config{Workers: 2})
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	var once sync.Once
+	start := func() { once.Do(func() { go func() { defer close(done); a.Run(ctx) }() }) }
+	t.Cleanup(func() { cancel(); once.Do(func() { close(done) }); <-done })
+	return a, start
 }
 
 // TestDistributedRunMatchesLocalGolden pins the federation guarantee end
-// to end: the full CLI output of a distributed -quick sweep over two
-// in-process workers — one of which is killed right after accepting its
-// first job and resurrected mid-sweep — is byte-identical to the purely
+// to end: the full CLI output of a -quick sweep through a tenant-keyed
+// gateway — whose first agent is killed right after its first lease, and
+// whose other agent joins mid-sweep — is byte-identical to the purely
 // local -jobs 4 run of the same arguments.
 func TestDistributedRunMatchesLocalGolden(t *testing.T) {
 	if testing.Short() {
@@ -171,24 +128,57 @@ func TestDistributedRunMatchesLocalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w0, w1 := newWorkerProc(t), newWorkerProc(t)
-	w1.killAtSubmit = 1
-	revive := time.AfterFunc(3*time.Second, w1.resurrect)
-	defer revive.Stop()
+	gw, err := gateway.New(gateway.Config{
+		Tenants: []gateway.TenantConfig{{Name: "sweep", Key: "sweep-key",
+			RatePerSec: 1000, Burst: 1000, MaxActive: -1}},
+		WorkerToken: "fleet-token",
+		LeaseTTL:    500 * time.Millisecond,
+		ProbeEvery:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw)
+	t.Cleanup(func() { ts.Close(); gw.Close() })
+
+	leased := make(chan struct{})
+	var once sync.Once
+	victim, startVictim := newAgent(t, ts.URL, "victim", func(ctx context.Context, s *service.JobSpec, _ func(core.ProgressEvent)) (*core.Front, error) {
+		once.Do(func() { close(leased) })
+		<-ctx.Done() // hang until killed; the lease expires and is redelivered
+		return nil, ctx.Err()
+	})
+	_, startJoined := newAgent(t, ts.URL, "joined", nil)
+	startVictim()
+	go func() {
+		select {
+		case <-leased:
+			victim.Kill()
+			startJoined()
+		case <-time.After(60 * time.Second):
+		}
+	}()
 
 	var dist bytes.Buffer
-	if err := run(append(args, "-workers", w0.srv.URL+","+w1.srv.URL), &dist); err != nil {
+	if err := run(append(args, "-workers", ts.URL, "-api-key", "sweep-key"), &dist); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(local.Bytes(), dist.Bytes()) {
 		t.Fatalf("distributed output differs from local run:\n--- local ---\n%s\n--- distributed ---\n%s",
 			local.Bytes(), dist.Bytes())
 	}
-	w1.mu.Lock()
-	w1submits := w1.submits
-	w1.mu.Unlock()
-	if w1submits == 0 {
-		t.Fatal("worker kill path not exercised: w1 never accepted a job")
+	select {
+	case <-leased:
+	default:
+		t.Fatal("worker kill path not exercised: the victim never leased a job")
+	}
+}
+
+func TestRunRejectsSeveralWorkers(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-quick", "-run", "fig7", "-workers", "localhost:1,localhost:2"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "clrearlygw") {
+		t.Fatalf("err = %v, want a refusal that names clrearlygw", err)
 	}
 }
 

@@ -1,4 +1,4 @@
-package dist
+package dist_test
 
 import (
 	"context"
@@ -6,15 +6,16 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/service"
 	"repro/internal/store"
 )
 
 // TestDurableWorkerRestartResumesSameJob is the coordinator half of the
-// crash-recovery story: a durable worker killed mid-run and resurrected
+// crash-recovery story: a durable clrearlyd killed mid-run and resurrected
 // behind the same URL re-enqueues and resumes the job under the same ID,
 // and the coordinator rides the outage out by retrying its long-poll in
-// place — the cell is never re-dispatched, and the resumed front is
+// place — the cell is never resubmitted, and the resumed front is
 // byte-identical to an uninterrupted local run.
 func TestDurableWorkerRestartResumesSameJob(t *testing.T) {
 	// The budget must be large enough that the kill lands mid-evolution:
@@ -32,13 +33,12 @@ func TestDurableWorkerRestartResumesSameJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	w := newFlakyWorkerWith(t, func() *service.Server {
+	w := newDaemon(t, func() *service.Server {
 		return service.New(service.Config{Workers: 2, QueueCap: 64, Store: st, CheckpointEvery: 2})
 	})
-	opts := testOptions()
-	c := newTestCoordinator(t, opts, w)
+	c := newCoordinator(t, w.srv.URL, "")
 
-	// Kill the worker once the run has a durable checkpoint to resume
+	// Kill the daemon once the run has a durable checkpoint to resume
 	// from, keep it dark for a few wait slices (the coordinator's retry
 	// loop must straddle the gap), then resurrect it on the same store.
 	runDone := make(chan struct{})
@@ -59,7 +59,7 @@ func TestDurableWorkerRestartResumesSameJob(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		w.kill()
-		time.Sleep(4 * opts.WaitSlice)
+		time.Sleep(4 * dist.FastWaitSlice)
 		w.resurrect()
 		killDone <- nil
 	}()

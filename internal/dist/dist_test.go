@@ -1,7 +1,8 @@
-package dist
+package dist_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,121 +12,167 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/gateway"
 	"repro/internal/service"
 )
 
-// flakyWorker is an in-process clrearlyd worker that can be killed and
-// resurrected mid-sweep: a httptest server whose handler forwards to a
-// swappable real service.Server. While dead it answers 502 to everything
-// (including /healthz, so the coordinator's probe marks it down).
-type flakyWorker struct {
+// endpoint is an in-process /v1/jobs endpoint that can be killed and
+// resurrected mid-sweep: a httptest server forwarding to a swappable
+// handler, a gateway or a real service.Server. While dead it answers 502
+// to everything, as a proxy in front of a dead process would.
+type endpoint struct {
 	srv *httptest.Server
 
 	mu      sync.Mutex
-	inner   *service.Server
-	factory func() *service.Server // builds the replacement on resurrect
-	delay   time.Duration
+	inner   http.Handler
+	factory func() http.Handler // builds the replacement on resurrect
 
-	submits  atomic.Int64
-	onSubmit atomic.Pointer[func()] // fired once, after the next submit
+	submits atomic.Int64
+	bounced atomic.Int64 // requests answered 502 while down
 }
 
-func newFlakyWorker(t *testing.T) *flakyWorker {
-	return newFlakyWorkerWith(t, newService)
-}
-
-// newFlakyWorkerWith builds a flaky worker whose (re)incarnations come from
-// factory — a factory closing over a shared store yields a durable worker
-// that resumes its jobs after resurrection.
-func newFlakyWorkerWith(t *testing.T, factory func() *service.Server) *flakyWorker {
+func newEndpoint(t *testing.T, factory func() http.Handler) *endpoint {
 	t.Helper()
-	f := &flakyWorker{inner: factory(), factory: factory}
-	f.srv = httptest.NewServer(f)
+	e := &endpoint{inner: factory(), factory: factory}
+	e.srv = httptest.NewServer(e)
 	t.Cleanup(func() {
-		f.kill()
-		f.srv.Close()
+		e.kill()
+		e.srv.Close()
 	})
-	return f
+	return e
+}
+
+// newDaemon is an endpoint backed by a clrearlyd built by factory; a
+// factory closing over a shared store yields a durable daemon that resumes
+// its jobs after resurrection.
+func newDaemon(t *testing.T, factory func() *service.Server) *endpoint {
+	return newEndpoint(t, func() http.Handler { return factory() })
 }
 
 func newService() *service.Server {
 	return service.New(service.Config{Workers: 2, QueueCap: 64})
 }
 
-func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.mu.Lock()
-	inner, delay := f.inner, f.delay
-	f.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
+func (e *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	e.mu.Lock()
+	inner := e.inner
+	e.mu.Unlock()
 	if inner == nil {
-		http.Error(w, "worker down", http.StatusBadGateway)
+		e.bounced.Add(1)
+		http.Error(w, "endpoint down", http.StatusBadGateway)
 		return
 	}
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-		f.submits.Add(1)
-		if cb := f.onSubmit.Swap(nil); cb != nil {
-			(*cb)()
-		}
+		e.submits.Add(1)
 	}
 	inner.ServeHTTP(w, r)
 }
 
-// kill takes the worker down hard: subsequent requests get 502 and running
-// jobs are aborted (their GAs stop within a generation), as if the process
-// died.
-func (f *flakyWorker) kill() {
-	f.mu.Lock()
-	inner := f.inner
-	f.inner = nil
-	f.mu.Unlock()
-	if inner != nil {
+// kill takes the endpoint down hard: requests get 502, and a daemon's
+// running jobs are aborted (their GAs stop within a generation), as if the
+// process died.
+func (e *endpoint) kill() {
+	e.mu.Lock()
+	inner := e.inner
+	e.inner = nil
+	e.mu.Unlock()
+	if s, ok := inner.(*service.Server); ok {
 		expired, cancel := context.WithCancel(context.Background())
 		cancel()
-		inner.Shutdown(expired)
+		s.Shutdown(expired)
 	}
 }
 
-// resurrect brings a fresh worker process up behind the same URL — empty,
-// unless the worker's factory recovers state from a durable store.
-func (f *flakyWorker) resurrect() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.inner == nil {
-		f.inner = f.factory()
+// resurrect brings a fresh process up behind the same URL — empty, unless
+// its factory recovers state from a durable store.
+func (e *endpoint) resurrect() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.inner == nil {
+		e.inner = e.factory()
 	}
 }
 
-func (f *flakyWorker) setDelay(d time.Duration) {
-	f.mu.Lock()
-	f.delay = d
-	f.mu.Unlock()
+const tenantKey = "sweep-key"
+
+// fleet is an in-process clrearlygw with one tenant, fronted by a counting
+// endpoint; agents join it with join.
+type fleet struct {
+	*endpoint
+	gw *gateway.Gateway
 }
 
-// testOptions are aggressive timings so whole kill/retry/hedge cycles fit
-// in a unit test.
-func testOptions() Options {
-	return Options{
-		MaxInFlight: 4,
-		CellTimeout: 30 * time.Second,
-		MaxAttempts: 4,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-		HedgeAfter:  -1, // hedging covered by its own test
-		WaitSlice:   50 * time.Millisecond,
-		HealthEvery: 20 * time.Millisecond,
-	}
-}
-
-func newTestCoordinator(t *testing.T, opts Options, workers ...*flakyWorker) *Coordinator {
+func newFleet(t *testing.T, tenant gateway.TenantConfig, leaseTTL time.Duration) *fleet {
 	t.Helper()
-	urls := make([]string, len(workers))
-	for i, w := range workers {
-		urls[i] = w.srv.URL
+	tenant.Name, tenant.Key = "sweep", tenantKey
+	gw, err := gateway.New(gateway.Config{
+		Tenants:     []gateway.TenantConfig{tenant},
+		WorkerToken: "fleet-token",
+		LeaseTTL:    leaseTTL,
+		ProbeEvery:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := New(urls, opts)
-	t.Cleanup(c.Close)
+	t.Cleanup(gw.Close)
+	return &fleet{endpoint: newEndpoint(t, func() http.Handler { return gw }), gw: gw}
+}
+
+// unlimited is a tenant that admission control never refuses.
+func unlimited() gateway.TenantConfig {
+	return gateway.TenantConfig{RatePerSec: 1000, Burst: 1000, MaxActive: -1}
+}
+
+// agent returns an agent leasing from the fleet and a start func that
+// runs it until the test ends; a nil exec runs specs with service.Execute.
+// The cleanup is registered here, so start may run on any goroutine.
+func (f *fleet) agent(t *testing.T, name string, exec gateway.ExecFunc) (*gateway.Agent, func()) {
+	t.Helper()
+	a, err := gateway.NewAgent(gateway.AgentConfig{
+		Gateway: f.srv.URL, Token: "fleet-token", Name: name,
+		PollTimeout: 100 * time.Millisecond, Exec: exec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	var once sync.Once
+	start := func() { once.Do(func() { go func() { defer close(done); a.Run(ctx) }() }) }
+	t.Cleanup(func() { cancel(); once.Do(func() { close(done) }); <-done })
+	return a, start
+}
+
+// join starts an agent leasing from the fleet.
+func (f *fleet) join(t *testing.T, name string, exec gateway.ExecFunc) *gateway.Agent {
+	t.Helper()
+	a, start := f.agent(t, name, exec)
+	start()
+	return a
+}
+
+// metrics reads the gateway's /metrics.
+func (f *fleet) metrics(t *testing.T) gateway.MetricsWire {
+	t.Helper()
+	resp, err := http.Get(f.srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m gateway.MetricsWire
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func newCoordinator(t *testing.T, url, key string) *dist.Coordinator {
+	t.Helper()
+	c, err := dist.NewFast(url, key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 
@@ -139,11 +186,11 @@ func testSpec(t *testing.T, method string, seed int64) *service.JobSpec {
 }
 
 // testCells builds one cell per spec, storing fronts into out by index.
-func testCells(specs []*service.JobSpec, out []*core.Front) []Cell {
-	cells := make([]Cell, len(specs))
+func testCells(specs []*service.JobSpec, out []*core.Front) []dist.Cell {
+	cells := make([]dist.Cell, len(specs))
 	for i, s := range specs {
 		i, s := i, s
-		cells[i] = Cell{
+		cells[i] = dist.Cell{
 			Spec:  s,
 			Local: func() (*core.Front, error) { return service.Execute(context.Background(), s, nil) },
 			Store: func(f *core.Front) { out[i] = f },
@@ -202,107 +249,133 @@ func assertFrontsEqual(t *testing.T, label string, got, want *core.Front) {
 func localBaseline(t *testing.T, specs []*service.JobSpec) []*core.Front {
 	t.Helper()
 	fronts := make([]*core.Front, len(specs))
-	if err := RunLocal(4, testCells(specs, fronts)); err != nil {
+	if err := dist.RunLocal(4, testCells(specs, fronts)); err != nil {
 		t.Fatal(err)
 	}
 	return fronts
 }
 
+// runRemote sweeps specs through c and requires every cell to run
+// remotely, with fronts bit-identical to want.
+func runRemote(t *testing.T, c *dist.Coordinator, specs []*service.JobSpec, want []*core.Front) {
+	t.Helper()
+	got := make([]*core.Front, len(specs))
+	if err := c.Run(context.Background(), 4, testCells(specs, got)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		assertFrontsEqual(t, specs[i].Method, got[i], want[i])
+	}
+	if m := c.Metrics(); m.RemoteCells != int64(len(specs)) || m.LocalFallbacks != 0 {
+		t.Fatalf("remote cells = %d, local fallbacks = %d; want %d, 0", m.RemoteCells, m.LocalFallbacks, len(specs))
+	}
+}
+
+// TestDistributedMatchesLocal sweeps through a tenant-keyed gateway with
+// two agents: every cell runs remotely and matches RunLocal bit for bit.
 func TestDistributedMatchesLocal(t *testing.T) {
 	specs := sweepSpecs(t)
 	want := localBaseline(t, specs)
 
-	w0, w1 := newFlakyWorker(t), newFlakyWorker(t)
-	c := newTestCoordinator(t, testOptions(), w0, w1)
-
-	got := make([]*core.Front, len(specs))
-	if err := c.Run(context.Background(), 4, testCells(specs, got)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		assertFrontsEqual(t, specs[i].Method, got[i], want[i])
-	}
-
-	m := c.Metrics()
-	if m.RemoteCells != int64(len(specs)) {
-		t.Fatalf("remote cells = %d, want %d (fallbacks %d)", m.RemoteCells, len(specs), m.LocalFallbacks)
-	}
-	if w0.submits.Load()+w1.submits.Load() < int64(len(specs)) {
-		t.Fatalf("workers saw %d+%d submits, want ≥ %d", w0.submits.Load(), w1.submits.Load(), len(specs))
+	f := newFleet(t, unlimited(), 10*time.Second)
+	f.join(t, "w0", nil)
+	f.join(t, "w1", nil)
+	runRemote(t, newCoordinator(t, f.srv.URL, tenantKey), specs, want)
+	if n := f.submits.Load(); n != int64(len(specs)) {
+		t.Fatalf("gateway saw %d submits, want %d", n, len(specs))
 	}
 }
 
+// TestBackPressureResubmits runs more cells than a max_active 1 tenant may
+// hold: each 429 is waited out and resubmitted, not spent as an attempt.
+func TestBackPressureResubmits(t *testing.T) {
+	specs := sweepSpecs(t)
+	want := localBaseline(t, specs)
+
+	tenant := unlimited()
+	tenant.MaxActive = 1
+	f := newFleet(t, tenant, 10*time.Second)
+	f.join(t, "w0", nil)
+	f.join(t, "w1", nil)
+	c := newCoordinator(t, f.srv.URL, tenantKey)
+	runRemote(t, c, specs, want)
+	if m := f.metrics(t); m.Rejects.Quota == 0 {
+		t.Fatal("the tenant quota never refused a submission; back-pressure path not exercised")
+	}
+	if m := c.Metrics(); m.Retries != 0 {
+		t.Fatalf("retries = %d, want 0: a 429 must not use up an attempt", m.Retries)
+	}
+}
+
+// TestWorkerKilledMidSweepStaysDeterministic kills the only agent right
+// after its first lease; the gateway redelivers the job once the lease
+// expires, to an agent that joins after the kill.
 func TestWorkerKilledMidSweepStaysDeterministic(t *testing.T) {
 	specs := sweepSpecs(t)
 	want := localBaseline(t, specs)
 
-	w0, w1 := newFlakyWorker(t), newFlakyWorker(t)
-	// Kill w1 as soon as it has accepted its first job: cells already
-	// dispatched there die mid-run and must be retried elsewhere (or fall
-	// back to local execution) without changing any result.
-	cb := func() { go w1.kill() }
-	w1.onSubmit.Store(&cb)
-	c := newTestCoordinator(t, testOptions(), w0, w1)
+	f := newFleet(t, unlimited(), 300*time.Millisecond)
+	leased := make(chan struct{})
+	var once sync.Once
+	victim := f.join(t, "victim", func(ctx context.Context, s *service.JobSpec, _ func(core.ProgressEvent)) (*core.Front, error) {
+		once.Do(func() { close(leased) })
+		<-ctx.Done() // hang until killed
+		return nil, ctx.Err()
+	})
+	_, startSurvivor := f.agent(t, "survivor", nil)
+	go func() {
+		select {
+		case <-leased:
+			victim.Kill()
+			startSurvivor()
+		case <-time.After(30 * time.Second):
+		}
+	}()
 
-	got := make([]*core.Front, len(specs))
-	if err := c.Run(context.Background(), 4, testCells(specs, got)); err != nil {
-		t.Fatal(err)
+	runRemote(t, newCoordinator(t, f.srv.URL, tenantKey), specs, want)
+	select {
+	case <-leased:
+	default:
+		t.Fatal("the victim never leased a job; kill path not exercised")
 	}
-	for i := range specs {
-		assertFrontsEqual(t, specs[i].Method, got[i], want[i])
-	}
-	if w1.submits.Load() == 0 {
-		t.Fatal("w1 was never dispatched to — kill path not exercised")
+	if m := f.metrics(t); m.Leases.Expired == 0 {
+		t.Fatal("no lease expired; the killed agent's job was not redelivered")
 	}
 }
 
+// TestWorkerResurrectionRejoinsSweep starts a sweep on one agent and has a
+// new agent join mid-sweep: it takes cells from the same queue.
 func TestWorkerResurrectionRejoinsSweep(t *testing.T) {
-	specs := sweepSpecs(t)[:3]
+	specs := sweepSpecs(t)
 	want := localBaseline(t, specs)
 
-	w0, w1 := newFlakyWorker(t), newFlakyWorker(t)
-	w1.kill()
-	c := newTestCoordinator(t, testOptions(), w0, w1)
+	f := newFleet(t, unlimited(), 10*time.Second)
+	joinedRan := make(chan struct{})
+	var joinedOnce sync.Once
+	joinedExec := func(ctx context.Context, s *service.JobSpec, p func(core.ProgressEvent)) (*core.Front, error) {
+		joinedOnce.Do(func() { close(joinedRan) })
+		return service.Execute(ctx, s, p)
+	}
+	_, startJoined := f.agent(t, "joined", joinedExec)
+	var firstOnce sync.Once
+	f.join(t, "w0", func(ctx context.Context, s *service.JobSpec, p func(core.ProgressEvent)) (*core.Front, error) {
+		// Hold the first lease until the newcomer has run a cell, so it
+		// joins while the sweep still has queued work.
+		firstOnce.Do(func() {
+			startJoined()
+			select {
+			case <-joinedRan:
+			case <-time.After(10 * time.Second):
+			}
+		})
+		return service.Execute(ctx, s, p)
+	})
 
-	// Sweep 1 with w1 dead: everything lands on w0 (or falls back local).
-	got := make([]*core.Front, len(specs))
-	if err := c.Run(context.Background(), 4, testCells(specs, got)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		assertFrontsEqual(t, specs[i].Method+"/dead", got[i], want[i])
-	}
-
-	// Resurrect w1 and wait for the health probe to notice.
-	w1.resurrect()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m := c.Metrics()
-		if m.Workers[1].Healthy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("resurrected worker never probed healthy")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Sweep 2 at different seeds: the resurrected worker takes cells again.
-	specs2 := []*service.JobSpec{
-		testSpec(t, "fcclr", 901), testSpec(t, "fcclr", 902),
-		testSpec(t, "fcclr", 903), testSpec(t, "fcclr", 904),
-	}
-	want2 := localBaseline(t, specs2)
-	before := w1.submits.Load()
-	got2 := make([]*core.Front, len(specs2))
-	if err := c.Run(context.Background(), 4, testCells(specs2, got2)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs2 {
-		assertFrontsEqual(t, "post-resurrect", got2[i], want2[i])
-	}
-	if w1.submits.Load() == before {
-		t.Fatal("resurrected worker received no work")
+	runRemote(t, newCoordinator(t, f.srv.URL, tenantKey), specs, want)
+	select {
+	case <-joinedRan:
+	default:
+		t.Fatal("the agent that joined mid-sweep received no work")
 	}
 }
 
@@ -310,10 +383,9 @@ func TestAllWorkersDownFallsBackToLocal(t *testing.T) {
 	specs := sweepSpecs(t)[:2]
 	want := localBaseline(t, specs)
 
-	w0, w1 := newFlakyWorker(t), newFlakyWorker(t)
-	w0.kill()
-	w1.kill()
-	c := newTestCoordinator(t, testOptions(), w0, w1)
+	e := newDaemon(t, newService)
+	e.kill()
+	c := newCoordinator(t, e.srv.URL, "")
 
 	got := make([]*core.Front, len(specs))
 	if err := c.Run(context.Background(), 4, testCells(specs, got)); err != nil {
@@ -329,11 +401,11 @@ func TestAllWorkersDownFallsBackToLocal(t *testing.T) {
 }
 
 func TestNilSpecCellNeverLeavesTheProcess(t *testing.T) {
-	w0 := newFlakyWorker(t)
-	c := newTestCoordinator(t, testOptions(), w0)
+	f := newFleet(t, unlimited(), 10*time.Second)
+	c := newCoordinator(t, f.srv.URL, tenantKey)
 
 	ran := false
-	err := c.Run(context.Background(), 1, []Cell{{
+	err := c.Run(context.Background(), 1, []dist.Cell{{
 		Local: func() (*core.Front, error) { ran = true; return &core.Front{Evaluations: 7}, nil },
 	}})
 	if err != nil {
@@ -342,8 +414,8 @@ func TestNilSpecCellNeverLeavesTheProcess(t *testing.T) {
 	if !ran {
 		t.Fatal("local-only cell did not run")
 	}
-	if n := w0.submits.Load(); n != 0 {
-		t.Fatalf("local-only cell reached a worker (%d submits)", n)
+	if n := f.submits.Load(); n != 0 {
+		t.Fatalf("local-only cell reached the endpoint (%d submits)", n)
 	}
 	if m := c.Metrics(); m.LocalOnlyCells != 1 {
 		t.Fatalf("local-only cells = %d, want 1", m.LocalOnlyCells)
@@ -351,12 +423,12 @@ func TestNilSpecCellNeverLeavesTheProcess(t *testing.T) {
 }
 
 func TestPermanentFailureSkipsRetries(t *testing.T) {
-	w0, w1 := newFlakyWorker(t), newFlakyWorker(t)
-	c := newTestCoordinator(t, testOptions(), w0, w1)
+	f := newFleet(t, unlimited(), 10*time.Second)
+	c := newCoordinator(t, f.srv.URL, tenantKey)
 
-	// An un-normalized spec the server rejects with 400: deterministic, so
-	// no retry and no hedge — straight to the local path, which reproduces
-	// the canonical error.
+	// An un-normalized spec the gateway rejects with 400: deterministic, so
+	// no retry — straight to the local path, which reproduces the canonical
+	// error.
 	bad := &service.JobSpec{Method: "bogus"}
 	_, err := c.RunOne(context.Background(), bad, func() (*core.Front, error) {
 		local := *bad
@@ -368,7 +440,7 @@ func TestPermanentFailureSkipsRetries(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Fatalf("err = %v, want the canonical unknown-method error", err)
 	}
-	if n := w0.submits.Load() + w1.submits.Load(); n != 1 {
+	if n := f.submits.Load(); n != 1 {
 		t.Fatalf("submits = %d, want exactly 1 (no retries of a permanent failure)", n)
 	}
 	m := c.Metrics()
@@ -377,23 +449,43 @@ func TestPermanentFailureSkipsRetries(t *testing.T) {
 	}
 }
 
+// TestUnknownKeyFallsBackWithoutRetries: a 401 is a configuration error
+// that every attempt would repeat, so the cell runs locally at once.
+func TestUnknownKeyFallsBackWithoutRetries(t *testing.T) {
+	spec := testSpec(t, "fcclr", 77)
+	want := localBaseline(t, []*service.JobSpec{spec})[0]
+	f := newFleet(t, unlimited(), 10*time.Second)
+	c := newCoordinator(t, f.srv.URL, "wrong-key")
+
+	got, err := c.RunOne(context.Background(), spec, func() (*core.Front, error) {
+		return service.Execute(context.Background(), spec, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertFrontsEqual(t, "unauthorized", got, want)
+	if m := c.Metrics(); f.submits.Load() != 1 || m.Retries != 0 || m.LocalFallbacks != 1 {
+		t.Fatalf("submits = %d, metrics %+v; want 1 submit, 0 retries, 1 fallback", f.submits.Load(), m)
+	}
+}
+
 func TestTransientFailureRetriesThenSucceeds(t *testing.T) {
 	spec := testSpec(t, "fcclr", 321)
 	want := localBaseline(t, []*service.JobSpec{spec})[0]
 
-	w0 := newFlakyWorker(t)
-	// Down at first: submits bounce with 502 until the worker comes back.
-	w0.kill()
-	opts := testOptions()
-	opts.HealthEvery = -1 // keep the dead worker "healthy" so attempts hit it
-	c := newTestCoordinator(t, opts, w0)
+	// Down at first: submits bounce with 502 until the daemon comes back.
+	e := newDaemon(t, newService)
+	e.kill()
+	c := newCoordinator(t, e.srv.URL, "")
 
 	done := make(chan struct{})
 	go func() {
-		// Let the first attempt fail, then bring the worker up; backoff
+		// Let the first attempt fail, then bring the daemon up; backoff
 		// retries should land on the revived instance.
-		time.Sleep(2 * time.Millisecond)
-		w0.resurrect()
+		for e.bounced.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		e.resurrect()
 		close(done)
 	}()
 	got, err := c.RunOne(context.Background(), spec, func() (*core.Front, error) {
@@ -413,44 +505,13 @@ func TestTransientFailureRetriesThenSucceeds(t *testing.T) {
 	}
 }
 
-func TestHedgeWinsOverStraggler(t *testing.T) {
-	spec := testSpec(t, "fcclr", 654)
-	want := localBaseline(t, []*service.JobSpec{spec})[0]
-
-	slow, fast := newFlakyWorker(t), newFlakyWorker(t)
-	slow.setDelay(1500 * time.Millisecond) // straggler: every request crawls
-	opts := testOptions()
-	opts.HedgeAfter = 30 * time.Millisecond
-	opts.HealthEvery = -1 // slow probes must not mark the straggler down
-	c := newTestCoordinator(t, opts, slow, fast)
-
-	start := time.Now()
-	got, err := c.RunOne(context.Background(), spec, func() (*core.Front, error) {
-		return service.Execute(context.Background(), spec, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertFrontsEqual(t, "hedged", got, want)
-	if elapsed := time.Since(start); elapsed >= 1500*time.Millisecond {
-		t.Fatalf("hedge did not cut the straggler short (took %v)", elapsed)
-	}
-	m := c.Metrics()
-	if m.Hedges == 0 {
-		t.Fatal("no hedge was dispatched")
-	}
-	if fast.submits.Load() == 0 {
-		t.Fatal("hedge twin never reached the fast worker")
-	}
-}
-
 func TestRunOrderIndependence(t *testing.T) {
 	// The same cells at wildly different concurrency must store identical
 	// fronts — completion order must never leak into results.
 	specs := sweepSpecs(t)[:4]
 	want := localBaseline(t, specs)
 	seq := make([]*core.Front, len(specs))
-	if err := RunLocal(1, testCells(specs, seq)); err != nil {
+	if err := dist.RunLocal(1, testCells(specs, seq)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range specs {
@@ -468,17 +529,26 @@ func TestNormalizeURL(t *testing.T) {
 		"http://c.example/base//": "http://c.example/base",
 	}
 	for in, want := range cases {
-		if got := NormalizeURL(in); got != want {
+		if got := dist.NormalizeURL(in); got != want {
 			t.Errorf("NormalizeURL(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+func TestSeveralEndpointsRefused(t *testing.T) {
+	_, err := dist.New("localhost:8081,localhost:8082", "")
+	if err == nil || !strings.Contains(err.Error(), "clrearlygw") {
+		t.Fatalf("err = %v, want a refusal that names clrearlygw", err)
 	}
 }
 
 func TestCoordinatorWithoutWorkersRunsLocally(t *testing.T) {
 	spec := testSpec(t, "fcclr", 11)
 	want := localBaseline(t, []*service.JobSpec{spec})[0]
-	c := New(nil, Options{})
-	defer c.Close()
+	c, err := dist.New("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := c.RunOne(context.Background(), spec, func() (*core.Front, error) {
 		return service.Execute(context.Background(), spec, nil)
 	})

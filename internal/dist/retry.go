@@ -2,19 +2,18 @@ package dist
 
 import (
 	"context"
-	"io"
 	"math/rand"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
 )
 
 // Backoff produces jittered exponential retry delays. It is the retry
-// policy shared by the sweep coordinator and the gateway's lease agents:
-// exponential growth from Base capped at Max, plus up to 50% random jitter
-// so synchronized clients de-correlate their retry storms. Safe for
-// concurrent use; the zero value is unusable — create with NewBackoff.
+// policy shared by the sweep coordinator, the island exchanger and the
+// gateway's lease agents: exponential growth from Base capped at Max, plus
+// up to 50% random jitter so synchronized clients de-correlate their retry
+// storms. Safe for concurrent use; the zero value is unusable — create
+// with NewBackoff.
 type Backoff struct {
 	base, max time.Duration
 
@@ -58,29 +57,6 @@ func (b *Backoff) Delay(attempt int) time.Duration {
 // first. A nil ctx sleeps unconditionally.
 func (b *Backoff) Sleep(ctx context.Context, attempt int) bool {
 	return sleepCtx(ctx, b.Delay(attempt))
-}
-
-// Probe reports whether the HTTP service at baseURL (already normalized,
-// no trailing slash) answers GET /healthz with 200 within timeout. It is
-// the liveness check shared by the coordinator's worker registry and the
-// gateway's advertised-address probe loop.
-func Probe(client *http.Client, baseURL string, timeout time.Duration) bool {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // NormalizeURL accepts "host:port" or a full URL and returns a base URL

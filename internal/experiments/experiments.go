@@ -42,8 +42,8 @@ type Config struct {
 	// All per-cell seeds derive from Seed and results are merged in a
 	// fixed order, so output is byte-identical for every Jobs value.
 	Jobs int
-	// Remote, when non-nil, shards the system-level experiment cells
-	// (Fig. 7/8, TABLEs V/VI) across its clrearlyd workers. Each remote
+	// Remote, when non-nil, runs the system-level experiment cells
+	// (Fig. 7/8, TABLEs V/VI) through its /v1/jobs endpoint. Each remote
 	// cell is a self-contained JobSpec reproducing the local instance from
 	// seeds, results merge in cell order, and every remote failure falls
 	// back to the cell's local closure — so output stays byte-identical to

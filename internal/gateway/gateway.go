@@ -32,8 +32,10 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -354,7 +356,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j := &gwJob{Job: g.jobs.NewJobLocked(spec, hash), tenant: t, class: t.class}
 	j.State = service.StateQueued
+	// Holding j's lock across enqueue and journaling keeps a fast agent
+	// from leasing (and finishing) the job before its accept record is
+	// written: tryLease's first act is taking it.
+	j.Lock()
 	if !g.queue.push(j) {
+		j.Unlock()
 		g.jobs.UnallocateLocked()
 		g.jobs.Unlock()
 		t.releaseActive()
@@ -373,11 +380,13 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// 202, the job survives a gateway crash.
 	if st := g.cfg.Store; st != nil {
 		if err := st.AcceptJob(j.ID, j.Hash, j.stored(), j.Submitted); err != nil {
+			j.Unlock()
 			g.finalize(j, service.StateFailed, "journaling job: "+err.Error(), nil)
 			service.HTTPError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
 			return
 		}
 	}
+	j.Unlock()
 	service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
@@ -435,11 +444,11 @@ func (j *gwJob) stored() []byte {
 	return payload
 }
 
-// finalize moves a job to a terminal state (idempotently), releases its
-// admission slot, publishes the result and journals the outcome.
+// finalize moves a job to a terminal state (idempotently): it journals the
+// outcome, publishes the result and releases the admission slot.
 func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontWire) {
 	j.Lock()
-	if !j.FinishLocked(state, errMsg, front) {
+	if !j.FinishLocked(g.cfg.Store, state, errMsg, front) {
 		j.Unlock()
 		return
 	}
@@ -467,7 +476,6 @@ func (g *Gateway) finalize(j *gwJob, state, errMsg string, front *service.FrontW
 		// job's barrier is dead weight (and would strand stragglers).
 		g.islands.Forget(j.Hash)
 	}
-	service.JournalFinish(g.cfg.Store, j.Job)
 }
 
 func (g *Gateway) lookup(w http.ResponseWriter, r *http.Request) *gwJob {
@@ -552,8 +560,7 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }
 
-// probeLoop health-checks workers that advertise an address, reusing the
-// sweep federation's probe helper.
+// probeLoop health-checks workers that advertise an address.
 func (g *Gateway) probeLoop() {
 	defer g.loopsWG.Done()
 	t := time.NewTicker(g.cfg.ProbeEvery)
@@ -580,7 +587,7 @@ func (g *Gateway) probeLoop() {
 			wg.Add(1)
 			go func(name, addr string) {
 				defer wg.Done()
-				ok := dist.Probe(g.cfg.Client, addr, timeout)
+				ok := probe(g.cfg.Client, addr, timeout)
 				resMu.Lock()
 				results[name] = ok
 				resMu.Unlock()
@@ -596,4 +603,22 @@ func (g *Gateway) probeLoop() {
 		}
 		g.mu.Unlock()
 	}
+}
+
+// probe reports whether the HTTP service at baseURL (normalized, no
+// trailing slash) answers GET /healthz with 200 within timeout.
+func probe(client *http.Client, baseURL string, timeout time.Duration) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }

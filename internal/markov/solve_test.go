@@ -1,10 +1,9 @@
-// Package matrix_test keeps the known-answer linear-algebra checks of the
-// dense matrix package that the chain solver used to call. That package is
-// gone: absorbing chains are now solved by the sparse LU in
-// internal/markov, so these tests pose each system as a chain and check the
-// kernel through markov's public API. Bitwise agreement with the dense
-// kernel is checked separately by markov's parity test and fuzz target.
-package matrix_test
+package markov_test
+
+// Known-answer linear-algebra checks of the chain solver: each system is
+// posed as an absorbing chain and solved by the sparse LU through the
+// public API. Bitwise agreement with the dense kernel is checked
+// separately by the parity test and fuzz target.
 
 import (
 	"math"

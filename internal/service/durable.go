@@ -109,12 +109,3 @@ func (s *Server) recover(st *store.Store) []*job {
 	}
 	return pending
 }
-
-// persistFinish journals a job's terminal state (see JournalFinish) and
-// drops the run checkpoint that is now obsolete. Called without j's lock.
-func (s *Server) persistFinish(j *job) {
-	if st := s.cfg.Store; st != nil {
-		JournalFinish(st, j.Job)
-		_ = st.ClearCheckpoint(j.Hash)
-	}
-}

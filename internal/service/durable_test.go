@@ -6,10 +6,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -451,5 +455,140 @@ func TestRecoverFailsRemovedSpecFields(t *testing.T) {
 	}
 	if got := marshalWireFront(t, done.Front); string(got) != string(want) {
 		t.Fatal("legacy job resumed to a different front")
+	}
+}
+
+// finishGate is a store FinishHook that holds the finish append of the
+// target job (of every job, with no target) until released, then fails it
+// with err (nil lets it through).
+type finishGate struct {
+	target  atomic.Pointer[string]
+	entered chan string
+	release chan struct{}
+	once    sync.Once
+	err     error
+}
+
+func newFinishGate(err error) *finishGate {
+	return &finishGate{entered: make(chan string, 1), release: make(chan struct{}), err: err}
+}
+
+// open lets held and future appends through.
+func (g *finishGate) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *finishGate) hook(id string) error {
+	if t := g.target.Load(); t != nil && *t != id {
+		return nil
+	}
+	g.entered <- id
+	<-g.release
+	return g.err
+}
+
+// waitAsync long-polls a job's /wait once, delivering the decoded status
+// (or nil on a transport or decode error) on the returned channel.
+func waitAsync(url, id string) <-chan *JobWire {
+	out := make(chan *JobWire, 1)
+	go func() {
+		resp, err := http.Get(url + "/v1/jobs/" + id + "/wait?timeout=60s")
+		if err != nil {
+			out <- nil
+			return
+		}
+		defer resp.Body.Close()
+		var jw JobWire
+		if json.NewDecoder(resp.Body).Decode(&jw) != nil {
+			out <- nil
+			return
+		}
+		out <- &jw
+	}()
+	return out
+}
+
+// TestFinishJournaledBeforePublish holds the store's finish append and
+// requires /wait to stay blocked until the record is written: a client
+// never sees an outcome that a crash could lose, and by the time it does,
+// the run checkpoint is gone too.
+func TestFinishJournaledBeforePublish(t *testing.T) {
+	gate := newFinishGate(nil)
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, FinishHook: gate.hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{Workers: 1, Store: st, CheckpointEvery: 1})
+	t.Cleanup(gate.open) // runs before the server's teardown, even on failure
+
+	// The one worker is busy with a blocker until the job under test is
+	// admitted and targeted, so the job cannot finish before that.
+	blocker, code := postJob(t, ts, longSpec(3))
+	if code != 202 {
+		t.Fatalf("submit blocker: %d %s", code, blocker.Error)
+	}
+	jw, code := postJob(t, ts, JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 4, Seed: 3})
+	if code != 202 {
+		t.Fatalf("submit: %d %s", code, jw.Error)
+	}
+	gate.target.Store(&jw.ID)
+	cancelJob(t, ts, blocker.ID)
+	waited := waitAsync(ts.URL, jw.ID)
+	select {
+	case id := <-gate.entered:
+		if id != jw.ID {
+			t.Fatalf("finish journaled for %s, want %s", id, jw.ID)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never reached its finish append")
+	}
+	select {
+	case w := <-waited:
+		t.Fatalf("/wait returned %+v while the finish record was unwritten", w)
+	case <-time.After(200 * time.Millisecond):
+	}
+	gate.open()
+	w := <-waited
+	if w == nil || w.State != StateDone {
+		t.Fatalf("/wait after the append = %+v, want done", w)
+	}
+	for _, rec := range st.Jobs() {
+		if rec.ID == jw.ID && rec.State != StateDone {
+			t.Fatalf("store holds %s as %q after /wait returned", rec.ID, rec.State)
+		}
+	}
+	if n := st.Stats().Checkpoints; n != 0 {
+		t.Fatalf("store holds %d checkpoints after /wait returned", n)
+	}
+}
+
+// TestFinishJournalFailureStillPublishes pins the rule for a failed finish
+// write: the outcome is still published, the failure is counted in the
+// /metrics store block, and the record stays pending so a restart runs the
+// job again.
+func TestFinishJournalFailureStillPublishes(t *testing.T) {
+	gate := newFinishGate(errors.New("disk full"))
+	gate.open()
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncNever, FinishHook: gate.hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{Workers: 1, Store: st})
+
+	jw, code := postJob(t, ts, JobSpec{App: "sobel", Method: "fcclr", Pop: 8, Gens: 2, Seed: 4})
+	if code != 202 {
+		t.Fatalf("submit: %d %s", code, jw.Error)
+	}
+	w := <-waitAsync(ts.URL, jw.ID)
+	if w == nil || w.State != StateDone || w.Front == nil {
+		t.Fatalf("/wait = %+v, want done with a front", w)
+	}
+	if m := getMetrics(t, ts); m.Store == nil || m.Store.FinishErrors != 1 {
+		t.Fatalf("metrics store block = %+v, want finish_errors 1", m.Store)
+	}
+	for _, rec := range st.Jobs() {
+		if rec.ID == jw.ID && !rec.Pending() {
+			t.Fatalf("record %s is %q, want pending after the failed finish write", rec.ID, rec.State)
+		}
 	}
 }

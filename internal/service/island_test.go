@@ -105,8 +105,13 @@ func TestExecuteIslandMatchesCore(t *testing.T) {
 // leaves per-island checkpoints under the spec hash, is re-enqueued by the
 // next incarnation, and resumes every island to a front byte-identical to
 // an uninterrupted run.
+//
+// The durable run checkpoints every two generations, about 140 generations
+// a second on a 2-CPU box and over ten times slower under -race, so the
+// budget is small enough to finish well inside the resume deadline and
+// still far past the generation the kill lands at.
 func TestIslandCrashResumeByteIdenticalFront(t *testing.T) {
-	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 1200, Seed: 42,
+	spec := JobSpec{App: "sobel", Method: "fcclr", Pop: 16, Gens: 300, Seed: 42,
 		Islands: 2, MigrationEvery: 3}
 	want := referenceFront(t, spec)
 
@@ -157,7 +162,11 @@ func TestIslandCrashResumeByteIdenticalFront(t *testing.T) {
 		st2.Close()
 	})
 
-	final := waitFor(t, ts2, jw.ID, 60*time.Second, terminal)
+	resumeWait := 60 * time.Second
+	if raceEnabled {
+		resumeWait *= 5
+	}
+	final := waitFor(t, ts2, jw.ID, resumeWait, terminal)
 	if final.State != StateDone {
 		t.Fatalf("resumed island job ended %s (%s)", final.State, final.Error)
 	}

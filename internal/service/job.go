@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"sync"
 	"time"
@@ -86,7 +87,14 @@ func (j *Job) Wire(includeFront bool) *JobWire {
 // FinishLocked moves the job to a terminal state: a done job takes front,
 // any other records msg. Only the first call transitions and reports true;
 // the caller holds the job's lock and then hands the job to Retire.
-func (j *Job) FinishLocked(state, msg string, front *FrontWire) bool {
+//
+// With a store, the outcome is journaled and the spec's run checkpoint
+// dropped before done closes, so a client that sees the job end never sees
+// an outcome a crash could lose. A failed journal write still publishes
+// the outcome, so no waiter hangs; the store counts the failure, and the
+// job's record and checkpoint stay, so a restart runs it again (DESIGN.md
+// §9). A nil store publishes without journaling.
+func (j *Job) FinishLocked(st *store.Store, state, msg string, front *FrontWire) bool {
 	select {
 	case <-j.done:
 		return false
@@ -99,6 +107,11 @@ func (j *Job) FinishLocked(state, msg string, front *FrontWire) bool {
 		j.ErrMsg = msg
 	}
 	j.Finished = time.Now()
+	if st != nil && journalFinishLocked(st, j) == nil {
+		if err := st.ClearCheckpoint(j.Hash); err != nil {
+			log.Printf("job %s: dropping checkpoint: %v", j.ID, err)
+		}
+	}
 	close(j.done)
 	return true
 }
@@ -296,7 +309,7 @@ func (t *JobTable[J]) AnswerCachedLocked(w http.ResponseWriter, st *store.Store,
 	t.Unlock()
 	if st != nil {
 		_ = st.AcceptJob(r.ID, r.Hash, accept, r.Submitted)
-		JournalFinish(st, r)
+		_ = journalFinishLocked(st, r) // logged and counted; best-effort, as above
 	}
 	WriteJSON(w, http.StatusOK, r.Wire(true))
 }
@@ -341,7 +354,7 @@ func (t *JobTable[J]) RestoreLocked(st *store.Store, jr *store.JobRecord, data [
 		j.State, j.ErrMsg, j.Finished = StateFailed, "recovering job: "+err.Error(), jr.Finished
 		if jr.Pending() {
 			j.Finished = time.Now()
-			JournalFinish(st, j)
+			_ = journalFinishLocked(st, j) // logged and counted; the job is failed either way
 			_ = st.ClearCheckpoint(jr.Hash)
 		}
 	case jr.Pending():
@@ -357,19 +370,19 @@ func (t *JobTable[J]) RestoreLocked(st *store.Store, jr *store.JobRecord, data [
 	return j
 }
 
-// JournalFinish records a job's terminal state; a computed done front
-// becomes the store's result for the spec hash. Best-effort: a store error
-// degrades durability, never the response. A nil store is a no-op.
-func JournalFinish(st *store.Store, j *Job) {
-	if st == nil {
-		return
-	}
-	j.Lock()
-	state, errMsg, cached, front, finished := j.State, j.ErrMsg, j.Cached, j.Front, j.Finished
-	j.Unlock()
+// journalFinishLocked records a terminal job's outcome; a computed done
+// front becomes the store's result for the spec hash. The caller holds the
+// job's lock, or owns a job no other goroutine writes. A failed write is
+// logged here and counted by the store: it degrades durability, never the
+// response.
+func journalFinishLocked(st *store.Store, j *Job) error {
 	var payload json.RawMessage
-	if state == StateDone && front != nil && !cached {
-		payload, _ = json.Marshal(front)
+	if j.State == StateDone && j.Front != nil && !j.Cached {
+		payload, _ = json.Marshal(j.Front)
 	}
-	_ = st.FinishJob(j.ID, state, j.Hash, errMsg, cached, payload, finished)
+	err := st.FinishJob(j.ID, j.State, j.Hash, j.ErrMsg, j.Cached, payload, j.Finished)
+	if err != nil {
+		log.Printf("job %s: journaling %s: %v", j.ID, j.State, err)
+	}
+	return err
 }

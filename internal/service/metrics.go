@@ -152,8 +152,8 @@ type FaultModelWire struct {
 }
 
 // StoreWire reports the durable store's gauges: WAL size and I/O counters,
-// compactions, torn bytes dropped at recovery, and retained record counts.
-// The field set mirrors store.Stats.
+// compactions, torn bytes dropped at recovery, retained record counts and
+// failed finish journal writes. The field set mirrors store.Stats.
 type StoreWire struct {
 	WALBytes    int64 `json:"wal_bytes"`
 	Appends     int64 `json:"appends"`
@@ -164,6 +164,9 @@ type StoreWire struct {
 	Jobs        int   `json:"jobs"`
 	Results     int   `json:"results"`
 	Checkpoints int   `json:"checkpoints"`
+	// FinishErrors counts terminal outcomes that were published without a
+	// finish record (DESIGN.md §9).
+	FinishErrors int64 `json:"finish_errors"`
 }
 
 // JobCountsWire counts jobs by lifecycle state plus the submission and

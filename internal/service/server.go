@@ -178,7 +178,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if first {
 		for _, j := range s.jobs.List() {
 			j.Lock()
-			cancelled := j.State == StateQueued && j.FinishLocked(StateCancelled, "service shutting down", nil)
+			cancelled := j.State == StateQueued && j.FinishLocked(nil, StateCancelled, "service shutting down", nil)
 			j.Unlock()
 			if cancelled {
 				s.jobs.Retire(j)
@@ -251,27 +251,26 @@ func (s *Server) runJob(j *job) {
 		front, err = ExecuteOnHooks(ctx, inst, flib, &j.Spec, hooks)
 	}
 
+	// A forced-shutdown abort is not a client decision: the job keeps its
+	// pending store record (plus the final cancellation checkpoint the GA
+	// just wrote), so the next incarnation re-enqueues and resumes it. Every
+	// other outcome, a client DELETE included, is journaled.
+	st := s.cfg.Store
+	if ctx.Err() != nil && s.baseCtx.Err() != nil {
+		st = nil
+	}
 	j.Lock()
 	j.cancel = nil
-	aborted := false
 	switch {
 	case ctx.Err() != nil:
-		j.FinishLocked(StateCancelled, "cancelled", nil)
-		// A forced-shutdown abort is not a client decision: the job keeps
-		// its pending store record (plus the final cancellation checkpoint
-		// the GA just wrote), so the next incarnation re-enqueues and
-		// resumes it. A client DELETE is terminal and is journaled.
-		aborted = s.baseCtx.Err() != nil
+		j.FinishLocked(st, StateCancelled, "cancelled", nil)
 	case err != nil:
-		j.FinishLocked(StateFailed, err.Error(), nil)
+		j.FinishLocked(st, StateFailed, err.Error(), nil)
 	default:
-		j.FinishLocked(StateDone, "", FrontToWire(front))
+		j.FinishLocked(st, StateDone, "", FrontToWire(front))
 	}
 	j.Unlock()
 	s.jobs.Retire(j)
-	if !aborted {
-		s.persistFinish(j)
-	}
 	s.metrics.observeLatency(j.Spec.Method, time.Since(j.Started))
 }
 
@@ -351,7 +350,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// sees 202, the job survives a crash. A store failure fails the
 		// job up front rather than acknowledging work that could vanish.
 		if err := st.AcceptJob(j.ID, hash, j.stored(), j.Submitted); err != nil {
-			j.FinishLocked(StateFailed, "journaling job: "+err.Error(), nil)
+			j.FinishLocked(nil, StateFailed, "journaling job: "+err.Error(), nil)
 			j.Unlock()
 			s.jobs.Retire(j)
 			HTTPError(w, http.StatusInternalServerError, "journaling job: "+err.Error())
@@ -412,20 +411,18 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	cancelled := false
 	switch j.State {
 	case StateQueued:
-		// The job stays in the queue channel; the worker skips it.
-		cancelled = j.FinishLocked(StateCancelled, "cancelled", nil)
+		// The job stays in the queue channel; the worker skips it. A
+		// client cancellation is a terminal decision: it is journaled (and
+		// any checkpoint dropped) so a restart does not resurrect the job.
+		cancelled = j.FinishLocked(s.cfg.Store, StateCancelled, "cancelled", nil)
 	case StateRunning:
 		// The GA polls the context between generations, so the run stops
-		// within one generation; the worker then marks the job cancelled.
+		// within one generation; the worker then finishes the job cancelled.
 		j.cancel()
 	}
 	j.Unlock()
 	if cancelled {
 		s.jobs.Retire(j)
-		// A client cancellation is a terminal decision: journal it (and
-		// drop any checkpoint) so a restart does not resurrect the job.
-		// Running jobs are journaled by the worker once the GA unwinds.
-		s.persistFinish(j)
 	}
 	WriteJSON(w, http.StatusAccepted, j.Wire(false))
 }

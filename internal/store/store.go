@@ -22,6 +22,10 @@ type Options struct {
 	MaxTerminalJobs int
 	// MaxResults bounds the persistent result cache (default 1024).
 	MaxResults int
+	// FinishHook, when set, runs in FinishJob before the finish record is
+	// appended; a non-nil error fails the append. It is a test seam for
+	// holding a finish in flight or failing it.
+	FinishHook func(id string) error
 }
 
 func (o Options) withDefaults() Options {
@@ -100,6 +104,8 @@ type Stats struct {
 	Jobs        int   `json:"jobs"`
 	Results     int   `json:"results"`
 	Checkpoints int   `json:"checkpoints"`
+	// FinishErrors counts FinishJob calls that failed to journal.
+	FinishErrors int64 `json:"finish_errors"`
 }
 
 // Store is the durable run store of clrearlyd: a job log (accepted specs
@@ -120,7 +126,8 @@ type Store struct {
 	resultOrder  []string // insertion order, oldest first
 	checkpoints  map[string]json.RawMessage
 
-	compactions int64
+	compactions  int64
+	finishErrors int64
 }
 
 // Open loads (creating if needed) the store under dir: the snapshot is
@@ -298,12 +305,22 @@ func (s *Store) AcceptJob(id, hash string, spec json.RawMessage, submitted time.
 // serialized front) becomes the hash's persistent result-cache entry; pass
 // nil when the result is already stored (a cache-hit job).
 func (s *Store) FinishJob(id, state, hash, errMsg string, cached bool, result json.RawMessage, finished time.Time) error {
+	var err error
+	if s.opt.FinishHook != nil {
+		err = s.opt.FinishHook(id)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(&record{
-		Type: "finish", ID: id, Hash: hash, State: state, Error: errMsg,
-		Cached: cached, Payload: result, Time: finished,
-	})
+	if err == nil {
+		err = s.appendLocked(&record{
+			Type: "finish", ID: id, Hash: hash, State: state, Error: errMsg,
+			Cached: cached, Payload: result, Time: finished,
+		})
+	}
+	if err != nil {
+		s.finishErrors++
+	}
+	return err
 }
 
 // SaveCheckpoint journals a GA run checkpoint for the spec hash,
@@ -438,10 +455,11 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Compactions: s.compactions,
-		Jobs:        len(s.jobs),
-		Results:     len(s.results),
-		Checkpoints: len(s.checkpoints),
+		Compactions:  s.compactions,
+		FinishErrors: s.finishErrors,
+		Jobs:         len(s.jobs),
+		Results:      len(s.results),
+		Checkpoints:  len(s.checkpoints),
 	}
 	for _, j := range s.jobs {
 		if j.Pending() {
